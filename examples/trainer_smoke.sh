@@ -16,7 +16,7 @@ EOF
 
 python -m repro compile "$WORK/app.c" -o "$WORK/app.rbc"
 
-for TRAINER in greedy repair hybrid; do
+for TRAINER in greedy hybrid; do
     echo "== train --trainer $TRAINER =="
     python -m repro train "$WORK/app.rbc" -o "$WORK/$TRAINER.rgr" \
         --trainer "$TRAINER" --registry "$WORK/reg" --tag "$TRAINER" \

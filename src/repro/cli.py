@@ -133,8 +133,7 @@ def _cmd_compress(args) -> int:
     module = _load_file(load_module, args.module)
     grammar = _load_file(load_grammar, args.grammar)
     compressor = Compressor(grammar,
-                            cache_size=0 if args.no_cache else 4096,
-                            format=args.format)
+                            cache_size=0 if args.no_cache else 4096)
     cmod = compressor.compress_module(module)
     try:
         payload = save_compressed(cmod, format=args.format)
@@ -382,36 +381,31 @@ def _cmd_serve(args) -> int:
     from .registry import GrammarRegistry
     from .service import CompressionService, FleetDispatcher
 
+    # one CompressionService configuration, run in-process or by every
+    # fleet worker
+    config = {
+        "max_inflight": args.max_inflight,
+        "high_water": args.high_water,
+        "batch_window": args.batch_window,
+        "breaker_threshold": args.breaker_threshold,
+        "breaker_cooldown": args.breaker_cooldown,
+        "exec_budget": args.exec_budget,
+        "native_watchdog": args.native_watchdog,
+    }
     if args.serve_workers > 0:
         service = FleetDispatcher(
             args.registry,
             workers=args.serve_workers,
             request_timeout=args.timeout,
             integrity_scan=not args.no_integrity_scan,
-            worker_config={
-                "max_inflight": args.max_inflight,
-                "high_water": args.high_water,
-                "batch_window": args.batch_window,
-                "breaker_threshold": args.breaker_threshold,
-                "breaker_cooldown": args.breaker_cooldown,
-                "native_isolation": args.native_isolation,
-                "exec_budget": args.exec_budget,
-                "native_watchdog": args.native_watchdog,
-            },
+            worker_config=config,
         )
     else:
         service = CompressionService(
             GrammarRegistry(args.registry),
-            max_inflight=args.max_inflight,
-            high_water=args.high_water,
             request_timeout=args.timeout,
-            batch_window=args.batch_window,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
             integrity_scan=not args.no_integrity_scan,
-            native_isolation=args.native_isolation,
-            exec_budget=args.exec_budget,
-            native_watchdog=args.native_watchdog,
+            **config,
         )
 
     async def _serve() -> None:
@@ -509,12 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--workers", type=int, default=None,
                    help="parse the corpus on N parallel workers "
                         "(deterministic: same grammar for any N)")
-    p.add_argument("--trainer", choices=("greedy", "repair", "hybrid"),
+    p.add_argument("--trainer", choices=("greedy", "hybrid"),
                    default="greedy",
                    help="trainer strategy: the paper's greedy "
-                        "edge-contraction loop (default), MR-RePair "
-                        "maximal-repeat seeding only, or seeding "
-                        "followed by greedy refinement")
+                        "edge-contraction loop (default), or MR-RePair "
+                        "maximal-repeat seeding followed by greedy "
+                        "refinement")
     p.add_argument("--stats", action="store_true",
                    help="print per-phase (parse/seed/refine) timings "
                         "and edge-index behaviour")
@@ -656,13 +650,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breaker-cooldown", type=float, default=30.0,
                    help="seconds before an open breaker allows a probe "
                         "(default 30)")
-    p.add_argument("--native-isolation",
-                   choices=("auto", "sandbox", "inproc"), default="auto",
-                   help="where native-engine runs execute: 'sandbox' "
-                        "(a supervised helper process; crashes surface "
-                        "as structured errors), 'inproc' (in the server "
-                        "process, guarded by an intent journal), or "
-                        "'auto' (default: sandbox)")
     p.add_argument("--exec-budget", type=int, default=0, metavar="N",
                    help="max rule dispatches per run_compressed request "
                         "(default 0 = unlimited); exceeding it traps "

@@ -30,11 +30,7 @@ from ..parsing.derivation import (
 from ..parsing.earley import shortest_derivation_tree
 from ..parsing.forest import terminal_yield
 from ..parsing.stackparser import parse_blocks
-from .container import (
-    CONTAINER_FORMATS,
-    CompressedModule,
-    CompressedProcedure,
-)
+from .container import CompressedModule, CompressedProcedure
 from .tiling import Tiler
 
 __all__ = ["Compressor", "compress_module", "compress_procedure"]
@@ -56,37 +52,23 @@ class Compressor:
     across compressors of the *same* grammar — how the service keeps a
     warm cache across request batches.
 
-    ``format`` names the serialized container this compressor targets:
-    ``"rcx1"`` (default, the paper's one-byte-per-step form) or
-    ``"rcx2"`` (entropy-coded; requires the grammar to carry a trained
-    rule-frequency model).  Compression itself is format-independent —
-    a :class:`CompressedModule` *is* the rcx1 in-memory form — the
-    format only selects what :meth:`compress_to_bytes` writes.
+    Compression is container-independent: a :class:`CompressedModule`
+    is the in-memory form that :func:`repro.storage.save_compressed`
+    writes as RCX1 or RCX2.
     """
 
     def __init__(self, grammar: Grammar, engine: str = "tiling", *,
                  cache_size: int = 4096,
-                 cache: "DerivationCache | None" = None,
-                 format: str = "rcx1") -> None:
+                 cache: "DerivationCache | None" = None) -> None:
         if engine not in ("tiling", "earley"):
             raise ValueError(f"unknown engine {engine!r}")
-        if format not in CONTAINER_FORMATS:
-            raise ValueError(f"unknown container format {format!r} "
-                             f"(expected one of {CONTAINER_FORMATS})")
         self.grammar = grammar
         self.engine = engine
-        self.format = format
         self._tiler = Tiler(grammar) if engine == "tiling" else None
         if cache is not None:
             self.cache = cache
         else:
             self.cache = DerivationCache(cache_size) if cache_size else None
-
-    def compress_to_bytes(self, module: Module) -> bytes:
-        """Compress and serialize in this compressor's ``format``."""
-        from ..storage import save_compressed  # late: storage sits above
-        return save_compressed(self.compress_module(module),
-                               format=self.format)
 
     # -- block level ----------------------------------------------------------
     def compress_block_tree(self, tree) -> bytes:

@@ -339,7 +339,7 @@ def training_speed_rows(sizes: Tuple[int, ...] = (18, 54, 120),
     return rows
 
 
-# -- S4: trainer-strategy comparison (greedy vs repair vs hybrid) -------------
+# -- S4: trainer-strategy comparison (greedy vs hybrid) -----------------------
 
 @dataclass
 class TrainerCompareRow:
@@ -355,8 +355,7 @@ class TrainerCompareRow:
 
 def trainer_compare_rows(train_on: Tuple[str, ...] = ("gcc",), *,
                          scale: int = GCCLIKE_SCALE,
-                         strategies: Tuple[str, ...] = (
-                             "greedy", "repair", "hybrid"),
+                         strategies: Tuple[str, ...] = ("greedy", "hybrid"),
                          ) -> List[TrainerCompareRow]:
     """Train each strategy on the same corpus and compress every input.
 

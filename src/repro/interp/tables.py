@@ -52,6 +52,50 @@ class TableError(ValueError):
     invariant (cannot happen for grammars produced by this system)."""
 
 
+def _rule_steps(rule, byte_nt: int) -> List[Step]:
+    """One rule's right-hand side as interpreter steps, checking the
+    operator/literal adjacency invariant (see the module docstring).
+    The one walk that :class:`InterpTables` and :class:`CompiledTables`
+    both compile from."""
+    steps: List[Step] = []
+    rhs = rule.rhs
+    i = 0
+    while i < len(rhs):
+        sym = rhs[i]
+        if is_nonterminal(sym):
+            if sym == byte_nt:
+                raise TableError(
+                    f"rule {rule.id}: <byte> not attached to an operator"
+                )
+            steps.append(("nt", sym))
+            i += 1
+            continue
+        if is_byte_terminal(sym):
+            raise TableError(
+                f"rule {rule.id}: burned byte not attached to an operator"
+            )
+        spec = OP_BY_CODE[sym]
+        plan: List[Optional[int]] = []
+        for k in range(1, spec.nlit + 1):
+            if i + k >= len(rhs):
+                raise TableError(
+                    f"rule {rule.id}: {spec.name} missing literal bytes"
+                )
+            opnd = rhs[i + k]
+            if is_byte_terminal(opnd):
+                plan.append(byte_value(opnd))
+            elif opnd == byte_nt:
+                plan.append(None)  # streamed
+            else:
+                raise TableError(
+                    f"rule {rule.id}: {spec.name} operand {k} is "
+                    f"neither a byte nor <byte>"
+                )
+        steps.append(("op", sym, tuple(plan)))
+        i += 1 + spec.nlit
+    return steps
+
+
 class RuleProgram:
     """One rule compiled to interpreter steps."""
 
@@ -73,49 +117,10 @@ class InterpTables:
         # through the grammar's precompiled program; <byte> owns no row —
         # its "rules" are read directly from the stream.
         self.by_nt: Dict[int, List[RuleProgram]] = {
-            nt: [self._compile(rule) for rule in rules]
+            nt: [RuleProgram(rule.id, tuple(_rule_steps(rule, self.byte_nt)))
+                 for rule in rules]
             for nt, rules in program_for(grammar).rows
         }
-
-    def _compile(self, rule) -> RuleProgram:
-        steps: List[Step] = []
-        rhs = rule.rhs
-        i = 0
-        while i < len(rhs):
-            sym = rhs[i]
-            if is_nonterminal(sym):
-                if sym == self.byte_nt:
-                    raise TableError(
-                        f"rule {rule.id}: <byte> not attached to an operator"
-                    )
-                steps.append(("nt", sym))
-                i += 1
-            elif is_byte_terminal(sym):
-                raise TableError(
-                    f"rule {rule.id}: burned byte not attached to an operator"
-                )
-            else:
-                spec = OP_BY_CODE[sym]
-                plan: List[Optional[int]] = []
-                for k in range(1, spec.nlit + 1):
-                    if i + k >= len(rhs):
-                        raise TableError(
-                            f"rule {rule.id}: {spec.name} missing literal "
-                            f"bytes"
-                        )
-                    opnd = rhs[i + k]
-                    if is_byte_terminal(opnd):
-                        plan.append(byte_value(opnd))
-                    elif opnd == self.byte_nt:
-                        plan.append(None)  # streamed
-                    else:
-                        raise TableError(
-                            f"rule {rule.id}: {spec.name} operand {k} is "
-                            f"neither a byte nor <byte>"
-                        )
-                steps.append(("op", sym, tuple(plan)))
-                i += 1 + spec.nlit
-        return RuleProgram(rule.id, tuple(steps))
 
     def program(self, nt: int, codeword: int) -> RuleProgram:
         programs = self.by_nt[nt]
@@ -467,46 +472,16 @@ class CompiledTables:
             steps.append(cached)
             run.clear()
 
-        rhs = rule.rhs
-        byte_nt = self.byte_nt
-        i = 0
-        while i < len(rhs):
-            sym = rhs[i]
-            if is_nonterminal(sym):
-                if sym == byte_nt:
-                    raise TableError(
-                        f"rule {rule.id}: <byte> not attached to an operator"
-                    )
+        for step in _rule_steps(rule, self.byte_nt):
+            if step[0] == "nt":
                 flush_run()
-                row = self.row_of[sym]
+                row = self.row_of[step[1]]
                 steps.append((STEP_CALL, self.rows[row], row))
-                i += 1
                 continue
-            if is_byte_terminal(sym):
-                raise TableError(
-                    f"rule {rule.id}: burned byte not attached to an operator"
-                )
-            spec = OP_BY_CODE[sym]
-            plan: List[Optional[int]] = []
-            for k in range(1, spec.nlit + 1):
-                if i + k >= len(rhs):
-                    raise TableError(
-                        f"rule {rule.id}: {spec.name} missing literal bytes"
-                    )
-                opnd = rhs[i + k]
-                if is_byte_terminal(opnd):
-                    plan.append(byte_value(opnd))
-                elif opnd == byte_nt:
-                    plan.append(None)  # streamed
-                else:
-                    raise TableError(
-                        f"rule {rule.id}: {spec.name} operand {k} is "
-                        f"neither a byte nor <byte>"
-                    )
-            run.append((handlers[sym], tuple(plan), sym))
-            if _is_control(spec.name):
+            _, sym, plan = step
+            run.append((handlers[sym], plan, sym))
+            if _is_control(OP_BY_CODE[sym].name):
                 flush_run()
-            i += 1 + spec.nlit
         flush_run()
         return tuple(steps)
 

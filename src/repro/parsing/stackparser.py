@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bytecode.instructions import iter_decode
 from ..bytecode.module import Module
 from ..bytecode.opcodes import OP_BY_CODE, opcode
+from ..core.program import program_for
 from ..grammar.cfg import (
     Grammar,
     Rule,
@@ -216,15 +217,11 @@ class _Plans:
             )
 
 
-_PLAN_CACHE: Dict[int, _Plans] = {}
-
-
 def _plans_for(grammar: Grammar) -> _Plans:
-    plans = _PLAN_CACHE.get(id(grammar))
-    if plans is None or plans.grammar is not grammar:
-        plans = _Plans(grammar)
-        _PLAN_CACHE[id(grammar)] = plans
-    return plans
+    """The grammar's plan tables, memoized on its precompiled program
+    (so they live exactly as long as the program cache keeps it)."""
+    return program_for(grammar).derived(
+        "parsing.plans", lambda: _Plans(grammar))
 
 
 def parse_blocks(grammar: Grammar, code: bytes) -> List[ParsedBlock]:

@@ -62,10 +62,10 @@ def train_grammar(corpus: Iterable[Module], *,
 
     ``strategy`` names a :class:`~repro.training.TrainerStrategy`
     (``"greedy"`` — the paper's profiled edge-contraction loop,
-    ``"repair"`` — MR-RePair maximal-repeat seeding only, ``"hybrid"``
-    — seeding then greedy refinement) or is a strategy class/instance;
-    ``strategy_params`` are its constructor knobs (e.g.
-    ``{"budget_frac": 0.25}`` for the seeding strategies).
+    ``"hybrid"`` — MR-RePair maximal-repeat seeding then greedy
+    refinement) or is a strategy class/instance; ``strategy_params``
+    are its constructor knobs (e.g. ``{"budget_frac": 0.25}`` for
+    ``hybrid``).
 
     ``parser_workers`` > 1 parses the corpus's procedures on a thread
     pool with a deterministic, corpus-order merge — the trained grammar

@@ -117,17 +117,6 @@ def poison_key(content_key: str, request_digest: str) -> str:
     ).hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe (signal 0; EPERM counts as alive)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True
-
-
 def _fsync_dir(path: Path) -> None:
     """Make a rename in ``path`` durable (no-op where dirs can't open)."""
     try:
@@ -532,12 +521,10 @@ class GrammarRegistry:
                 if repair:
                     with contextlib.suppress(OSError):
                         tmp.unlink()
-        # Poison verdicts and pending native-run intents are deliberate
-        # state, surfaced for the operator but never "dirt".
+        # Poison verdicts are deliberate state, surfaced for the
+        # operator but never "dirt".
         report["poison"] = sum(
             1 for _ in self.quarantine_dir.glob("*.poison.json"))
-        report["poison_intents"] = sum(
-            1 for _ in self.quarantine_dir.glob("*.intent.json"))
         report["clean"] = not (report["corrupt"]
                                or report["missing_meta"]
                                or report["orphan_meta"]
@@ -575,12 +562,9 @@ class GrammarRegistry:
     def startup_scan(self) -> Dict:
         """The self-healing pass a long-lived service runs before
         serving: quarantine corruption, regenerate metadata, drop
-        dangling tags, reap crash debris, and convert native-run
-        intents orphaned by a crashed worker into poison verdicts."""
-        converted = self.scan_native_intents()
+        dangling tags, and reap crash debris."""
         report = self.verify(repair=True)
         report["gc"] = self.gc()
-        report["poison_converted"] = len(converted)
         return report
 
     # -- poison quarantine --------------------------------------------------
@@ -592,22 +576,11 @@ class GrammarRegistry:
     # of feeding it to the engine again.  Verdicts are deliberate
     # records, not corruption: ``verify`` counts them but they never
     # make the registry un-clean.
-    #
-    # For *in-process* native runs (no sandbox to absorb the signal) an
-    # intent sidecar is written before the run and removed after it.  A
-    # worker that dies mid-run leaves its intent behind; the next
-    # startup converts intents whose pid is gone into poison verdicts,
-    # so even an un-sandboxed crash is quarantined after one respawn.
 
     def _poison_path(self, key: str) -> Path:
         if not _HASH_RE.match(key):
             raise RegistryError(f"malformed poison key {key!r}")
         return self.quarantine_dir / f"{key}.poison.json"
-
-    def _intent_path(self, key: str) -> Path:
-        if not _HASH_RE.match(key):
-            raise RegistryError(f"malformed poison key {key!r}")
-        return self.quarantine_dir / f"{key}.intent.json"
 
     def record_poison(self, key: str, verdict: str, *,
                       content_key: str = "",
@@ -651,60 +624,6 @@ class GrammarRegistry:
                 records.append(json.loads(path.read_text()))
         records.sort(key=lambda r: r.get("recorded") or 0)
         return records
-
-    def record_native_intent(self, key: str, *,
-                             content_key: str = "",
-                             request_digest: str = "") -> None:
-        """Journal an imminent in-process native run.
-
-        Must be durable *before* the run starts: if the process dies
-        with the intent on disk, :meth:`scan_native_intents` converts
-        it into a poison verdict at the next startup.
-        """
-        record = {
-            "key": key,
-            "content_key": content_key,
-            "request_digest": request_digest,
-            "pid": os.getpid(),
-            "created": time.time(),
-        }
-        self.quarantine_dir.mkdir(exist_ok=True)
-        _atomic_write(self._intent_path(key),
-                      json.dumps(record).encode())
-
-    def clear_native_intent(self, key: str) -> None:
-        """The run survived (completed or raised in Python): retract."""
-        with contextlib.suppress(OSError, RegistryError):
-            self._intent_path(key).unlink()
-
-    def scan_native_intents(self) -> List[Dict]:
-        """Convert dead-owner intents into poison verdicts.
-
-        An intent whose recording pid is still alive belongs to a run in
-        progress somewhere in the fleet and is left alone.  Returns the
-        verdicts recorded by this scan.
-        """
-        converted = []
-        for path in sorted(self.quarantine_dir.glob("*.intent.json")):
-            try:
-                record = json.loads(path.read_text())
-                pid = int(record["pid"])
-                key = str(record["key"])
-            except (OSError, ValueError, KeyError, TypeError):
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                continue
-            if pid > 0 and _pid_alive(pid):
-                continue
-            converted.append(self.record_poison(
-                key, "crash",
-                content_key=str(record.get("content_key", "")),
-                request_digest=str(record.get("request_digest", "")),
-                detail=f"in-process native run by pid {pid} never "
-                       f"returned (process died mid-run)"))
-            with contextlib.suppress(OSError):
-                path.unlink()
-        return converted
 
     # -- LRU ----------------------------------------------------------------
 

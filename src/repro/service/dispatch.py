@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..registry import GrammarRegistry, RegistryError
 from . import protocol
-from .metrics import merge_stats
+from .metrics import merge_stats, scan_summary
 from .pool import WorkerHandle, WorkerPool
 from .protocol import FrameError, ServiceError
 
@@ -398,15 +398,5 @@ class FleetDispatcher:
         }
         registry = merged.setdefault("registry", {})
         if self.startup_report is not None:
-            registry["startup_scan"] = {
-                "clean": self.startup_report.get("clean"),
-                "checked": self.startup_report.get("checked"),
-                "quarantined":
-                    len(self.startup_report.get("quarantined", [])),
-                "dangling_tags":
-                    len(self.startup_report.get("dangling_tags", [])),
-                "poison": self.startup_report.get("poison", 0),
-                "poison_converted":
-                    self.startup_report.get("poison_converted", 0),
-            }
+            registry["startup_scan"] = scan_summary(self.startup_report)
         return merged

@@ -234,3 +234,15 @@ def merge_stats(snapshots: Sequence[Dict]) -> Dict:
         _merge_into(merged, snap)
     _fix_means(merged)
     return merged
+
+
+def scan_summary(report: Dict) -> Dict:
+    """The ``stats.registry.startup_scan`` view of a registry
+    :meth:`~repro.registry.GrammarRegistry.startup_scan` report."""
+    return {
+        "clean": report.get("clean"),
+        "checked": report.get("checked"),
+        "quarantined": len(report.get("quarantined", [])),
+        "dangling_tags": len(report.get("dangling_tags", [])),
+        "poison": report.get("poison", 0),
+    }

@@ -41,7 +41,6 @@ are surfaced by the ``stats`` method.
 from __future__ import annotations
 
 import asyncio
-import os
 import signal
 import threading
 import time
@@ -50,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 import hashlib
 
-from .. import faults
 from ..bytecode.module import Module
 from ..bytecode.validate import ValidationError
 from ..coding.model import ModelMissingError
@@ -60,10 +58,8 @@ from ..compress.decompress import decompress_module
 from ..grammar.serialize import encode_grammar_compact
 from ..interp.compiled import CompiledEngine
 from ..interp.interp2 import Interpreter2
-from ..interp.native import run_native
 from ..interp.runtime import run_program
 from ..interp.sandbox import (
-    CRASH_SIGNALS,
     NativeCrashError,
     NativeHangError,
     NativeSandbox,
@@ -81,7 +77,7 @@ from ..storage import (
 )
 from . import protocol
 from .breaker import CircuitBreaker
-from .metrics import ServiceMetrics
+from .metrics import ServiceMetrics, scan_summary
 from .protocol import FrameError, ServiceError, b64d
 
 __all__ = ["CompressionService", "ServiceError"]
@@ -203,13 +199,8 @@ class CompressionService:
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  integrity_scan: bool = True,
-                 native_isolation: str = "auto",
                  exec_budget: int = 0,
                  native_watchdog: float = 10.0) -> None:
-        if native_isolation not in ("auto", "sandbox", "inproc"):
-            raise ValueError(
-                f"native_isolation must be 'auto', 'sandbox' or 'inproc',"
-                f" not {native_isolation!r}")
         self.registry = registry
         self.max_inflight = max_inflight
         self.high_water = high_water
@@ -218,11 +209,6 @@ class CompressionService:
         self.max_batch = max_batch
         self.cache_size = cache_size
         self.integrity_scan = integrity_scan
-        # "auto" resolves to the sandbox: containment by default, and
-        # the pooled helper keeps the happy-path cost to one pipe
-        # round-trip (gated by benchmarks/test_interp_speed.py).
-        self.native_isolation = ("sandbox" if native_isolation == "auto"
-                                 else native_isolation)
         self.exec_budget = int(exec_budget or 0)
         self.native_watchdog = float(native_watchdog)
         self._sandbox: Optional[NativeSandbox] = None
@@ -258,13 +244,6 @@ class CompressionService:
             # Self-heal before serving: quarantine corrupt objects,
             # regenerate metadata, drop dangling tags, reap crash debris.
             self.startup_report = self.registry.startup_scan()
-        else:
-            # Even without the full scan, convert native-run intents
-            # orphaned by a crashed predecessor into poison verdicts —
-            # this is what quarantines an in-process crash after one
-            # respawn (fleet workers skip the full scan; the glob over
-            # the quarantine dir is cheap).
-            self.registry.scan_native_intents()
         self._inflight = asyncio.Semaphore(self.max_inflight)
         self._worker_lock = asyncio.Lock()
         self._stop_requested = asyncio.Event()
@@ -541,17 +520,8 @@ class CompressionService:
             "lru": self.registry.cache_info(),
         }
         if self.startup_report is not None:
-            snap["registry"]["startup_scan"] = {
-                "clean": self.startup_report.get("clean"),
-                "checked": self.startup_report.get("checked"),
-                "quarantined":
-                    len(self.startup_report.get("quarantined", [])),
-                "dangling_tags":
-                    len(self.startup_report.get("dangling_tags", [])),
-                "poison": self.startup_report.get("poison", 0),
-                "poison_converted":
-                    self.startup_report.get("poison_converted", 0),
-            }
+            snap["registry"]["startup_scan"] = scan_summary(
+                self.startup_report)
         snap["engine"] = {
             "fallback": self.metrics.engine_events.value("fallback"),
             "degraded": self.metrics.engine_events.value("degraded"),
@@ -561,7 +531,6 @@ class CompressionService:
                 self.metrics.engine_events.value("native_hang"),
             "poison_fastfail":
                 self.metrics.engine_events.value("poison_fastfail"),
-            "isolation": self.native_isolation,
             "exec_budget": self.exec_budget,
             "breakers": {key[:12]: state for key, state
                          in self.engine_breaker.snapshot().items()},
@@ -675,24 +644,21 @@ class CompressionService:
         if req_budget:
             budget = min(budget, req_budget) if budget else req_budget
 
-        def _run_compiled(program) -> Tuple[str, int, bytes]:
+        def _run(program, executor) -> Tuple[int, bytes]:
+            return run_program(program, executor(program), *args,
+                               input_data=input_data, budget=budget)
+
+        def _run_compiled(program, key: str) -> Tuple[str, int, bytes]:
             """Compiled engine behind the per-grammar circuit breaker;
             unexpected engine faults fall back to the reference
             interpreter (a fresh machine — no partial state leaks)."""
-            key = hashlib.sha256(
-                encode_grammar_compact(program.grammar)).hexdigest()
             if not self.engine_breaker.allow(key):
                 # quarantined: skip the doomed attempt entirely
                 self.metrics.engine_events.inc("degraded")
-                code, output = run_program(program, Interpreter2(program),
-                                           *args, input_data=input_data,
-                                           budget=budget)
-                return "reference_degraded", code, output
+                return ("reference_degraded",
+                        *_run(program, Interpreter2))
             try:
-                code, output = run_program(program,
-                                           CompiledEngine(program),
-                                           *args, input_data=input_data,
-                                           budget=budget)
+                code, output = _run(program, CompiledEngine)
             except RuntimeError:
                 # Trap / machine fault: the *program's* fault, identical
                 # on both engines by the equivalence suite — not an
@@ -704,42 +670,14 @@ class CompressionService:
             except Exception:  # noqa: BLE001 — engine fault: fall back
                 self.engine_breaker.record_failure(key)
                 self.metrics.engine_events.inc("fallback")
-                code, output = run_program(program, Interpreter2(program),
-                                           *args, input_data=input_data,
-                                           budget=budget)
-                return "reference_fallback", code, output
+                return ("reference_fallback",
+                        *_run(program, Interpreter2))
             self.engine_breaker.record_success(key)
             return "compiled", code, output
 
-        def _native_inproc(program, pkey: str, gkey: str,
-                           rdigest: str) -> Tuple[int, bytes]:
-            """In-process native run, journaled: the intent sidecar is
-            on disk before the engine gets the request, so a crash that
-            kills this worker converts to a poison verdict at the next
-            startup (``scan_native_intents``) — quarantine within one
-            respawn even without the sandbox."""
-            self.registry.record_native_intent(
-                pkey, content_key=gkey, request_digest=rdigest)
-            try:
-                plane = faults.ACTIVE
-                if plane is not None:
-                    rule = plane.decide("native.crash")
-                    if rule is not None:
-                        # The real failure, end to end: this worker dies
-                        # on the signal with the intent journaled.
-                        os.kill(os.getpid(), CRASH_SIGNALS.get(
-                            rule.mode or "segv", signal.SIGSEGV))
-                return run_native(program, *args, input_data=input_data,
-                                  budget=budget)
-            finally:
-                # Reached on every *Python-visible* exit, including
-                # traps; a fatal signal skips it and leaves the intent.
-                self.registry.clear_native_intent(pkey)
-
-        def _run_native(program) -> Tuple[str, int, bytes]:
-            """Native engine: quarantine check, then the sandboxed (or
-            journaled in-process) run, behind its own per-grammar
-            breaker slot.
+        def _run_native(program, gkey: str) -> Tuple[str, int, bytes]:
+            """Native engine: quarantine check, then the sandboxed run,
+            behind its own per-grammar breaker slot.
 
             Outcomes: a poison hit or a fresh crash/hang raises a
             non-retryable ``poison_input`` (and feeds the breaker, so
@@ -748,8 +686,6 @@ class CompressionService:
             compiler or failed build/load falls back to the compiled
             Python path; program traps propagate — identical on every
             engine by the four-engine equivalence suite."""
-            gkey = hashlib.sha256(
-                encode_grammar_compact(program.grammar)).hexdigest()
             key = "native:" + gkey
             rdigest = request_digest(data, args, input_data)
             pkey = poison_key(gkey, rdigest)
@@ -765,17 +701,12 @@ class CompressionService:
                     f"{verdict.get('detail', '')}".rstrip(": "))
             if not self.engine_breaker.allow(key):
                 self.metrics.engine_events.inc("degraded")
-                _, code, output = _run_compiled(program)
+                _, code, output = _run_compiled(program, gkey)
                 return "compiled_degraded", code, output
             try:
-                if self.native_isolation == "sandbox":
-                    run = self._native_sandbox().run(
-                        data, args, input_data, budget=budget,
-                        content_key=gkey)
-                    code, output = run.code, run.output
-                else:
-                    code, output = _native_inproc(program, pkey, gkey,
-                                                  rdigest)
+                run = self._native_sandbox().run(
+                    data, args, input_data, budget=budget,
+                    content_key=gkey)
             except RuntimeError:
                 # Trap / machine fault: the program's own fault.
                 self.engine_breaker.record_success(key)
@@ -798,10 +729,10 @@ class CompressionService:
             except Exception:  # noqa: BLE001 — build or engine fault
                 self.engine_breaker.record_failure(key)
                 self.metrics.engine_events.inc("fallback")
-                _, code, output = _run_compiled(program)
+                _, code, output = _run_compiled(program, gkey)
                 return "compiled_fallback", code, output
             self.engine_breaker.record_success(key)
-            return "native", code, output
+            return "native", run.code, run.output
 
         def _work() -> Tuple[str, int, bytes]:
             try:
@@ -815,13 +746,14 @@ class CompressionService:
                     protocol.E_BAD_REQUEST,
                     "run_compressed needs an RCX1 compressed module")
             if engine == "reference":
-                code, output = run_program(program, Interpreter2(program),
-                                           *args, input_data=input_data,
-                                           budget=budget)
-                return "reference", code, output
+                return ("reference", *_run(program, Interpreter2))
+            # One grammar key per request: it names the breaker slots
+            # and, for native runs, the poison verdict.
+            gkey = hashlib.sha256(
+                encode_grammar_compact(program.grammar)).hexdigest()
             if engine == "native":
-                return _run_native(program)
-            return _run_compiled(program)
+                return _run_native(program, gkey)
+            return _run_compiled(program, gkey)
 
         async with self._inflight:
             try:

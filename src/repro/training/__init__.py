@@ -19,7 +19,7 @@ from .strategy import (
     resolve_strategy,
 )
 from .greedy import GreedyStrategy
-from .repair import HybridStrategy, RepairStrategy, repair_seed
+from .repair import HybridStrategy, repair_seed
 
 __all__ = [
     "EdgeIndex", "EdgeKey", "NaiveEdgeIndex",
@@ -28,5 +28,5 @@ __all__ = [
     "TrainingReport", "TrainingStats", "expand_grammar",
     "STRATEGIES", "SeedReport", "TrainerStrategy",
     "register_strategy", "resolve_strategy",
-    "GreedyStrategy", "RepairStrategy", "HybridStrategy", "repair_seed",
+    "GreedyStrategy", "HybridStrategy", "repair_seed",
 ]

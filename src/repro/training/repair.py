@@ -44,7 +44,7 @@ from .strategy import (
     register_strategy,
 )
 
-__all__ = ["repair_seed", "RepairStrategy", "HybridStrategy"]
+__all__ = ["repair_seed", "HybridStrategy"]
 
 #: the interned key id of a hole (a ``<byte>``-rooted subtree)
 _HOLE = 0
@@ -275,14 +275,22 @@ def repair_seed(grammar: Grammar, forest: Forest, *,
 
 
 @register_strategy
-class RepairStrategy(TrainerStrategy):
-    """Pure maximal-repeat seeding, no greedy refinement."""
+class HybridStrategy(TrainerStrategy):
+    """Maximal-repeat seeding, then the profiled greedy expander.
 
-    id = "repair"
+    The default ``budget_frac`` spends a tenth of every nonterminal's
+    remaining capacity on seeds and reserves the rest for refinement.
+    Measured on the synthetic corpus (EXPERIMENTS.md, S4): seeded
+    hole-shapes generalize — hybrid beats pure greedy on every input it
+    did NOT train on — while larger seed budgets crowd out the literal
+    burning that greedy's profile-driven refinement spends rules on.
+    """
+
+    id = "hybrid"
 
     def __init__(self, *, max_rounds: int = 8,
                  max_rule_symbols: int = 64,
-                 budget_frac: float = 1.0) -> None:
+                 budget_frac: float = 0.1) -> None:
         self.max_rounds = max_rounds
         self.max_rule_symbols = max_rule_symbols
         self.budget_frac = budget_frac
@@ -303,28 +311,6 @@ class RepairStrategy(TrainerStrategy):
             max_rule_symbols=self.max_rule_symbols,
             budget_frac=self.budget_frac,
         )
-
-
-@register_strategy
-class HybridStrategy(RepairStrategy):
-    """Maximal-repeat seeding, then the profiled greedy expander.
-
-    The default ``budget_frac`` spends a tenth of every nonterminal's
-    remaining capacity on seeds and reserves the rest for refinement.
-    Measured on the synthetic corpus (EXPERIMENTS.md, S3): seeded
-    hole-shapes generalize — hybrid beats pure greedy on every input it
-    did NOT train on — while larger seed budgets crowd out the literal
-    burning that greedy's profile-driven refinement spends rules on.
-    """
-
-    id = "hybrid"
-
-    def __init__(self, *, max_rounds: int = 8,
-                 max_rule_symbols: int = 64,
-                 budget_frac: float = 0.1) -> None:
-        super().__init__(max_rounds=max_rounds,
-                         max_rule_symbols=max_rule_symbols,
-                         budget_frac=budget_frac)
 
     def refine(self, grammar: Grammar, forest: Forest, *,
                min_count: int = 2,

@@ -17,7 +17,7 @@ from repro.parsing.derivation import derivation_of_tree, encode_tree
 from repro.parsing.forest import Forest, Node
 from repro.parsing.stackparser import build_forest
 from repro.pipeline import train_grammar
-from repro.training import resolve_strategy
+from repro.training import repair_seed, resolve_strategy
 from repro.training.edges import EdgeIndex, NaiveEdgeIndex
 from repro.training.expander import expand_grammar
 
@@ -150,17 +150,39 @@ def test_training_deterministic_across_worker_counts(workers):
            (r_par.iterations, r_par.final_size)
 
 
-# -- seeding strategies at the boundaries (ISSUE 10) --------------------------
+# -- MR-RePair seeding at the boundaries --------------------------------------
+#
+# ``"repair"`` is the seeder alone (:func:`repair_seed` at its full
+# budget); ``"hybrid"`` seeds a tenth of the budget, then refines.
+
+def _seeded(strategy, corpus, workers=None):
+    """Rule signature and seed-phase numbers after seeding ``corpus``."""
+    if strategy == "repair":
+        grammar = initial_grammar()
+        forest = build_forest(grammar, corpus, workers=workers)
+        seeded = repair_seed(grammar, forest)
+        numbers = (seeded.rules_added, seeded.rounds, seeded.contractions,
+                   sum(1 for _ in forest.nodes()))
+    else:
+        grammar, report = train_grammar(corpus, strategy=strategy,
+                                        parser_workers=workers)
+        numbers = (report.seed_rules, report.seed_rounds,
+                   report.contractions, report.final_size)
+    return [(r.lhs, r.rhs, r.origin, r.fragment) for r in grammar], numbers
+
 
 @pytest.mark.parametrize("strategy", ["repair", "hybrid"])
 @pytest.mark.parametrize("cap", [12, 16])
 def test_seeding_never_exceeds_the_cap(strategy, cap):
-    """MR-RePair seeding plus greedy refinement must respect the same
-    per-nonterminal budget as the pure greedy loop."""
+    """MR-RePair seeding, alone or followed by greedy refinement, must
+    respect the same per-nonterminal budget as the pure greedy loop."""
     g = initial_grammar(max_rules_per_nt=cap)
     initial_counts = {nt: g.num_rules(nt) for nt in g.nonterminals}
     forest = build_forest(g, [_module(size=10, seed=7)])
-    resolve_strategy(strategy).train(g, forest)
+    if strategy == "repair":
+        repair_seed(g, forest)
+    else:
+        resolve_strategy(strategy).train(g, forest)
     g.check()
     for nt in g.nonterminals:
         assert g.num_rules(nt) <= max(cap, initial_counts[nt]), \
@@ -176,7 +198,7 @@ def test_seed_budget_frac_bounds_seeded_rules_per_nt():
     g = initial_grammar(max_rules_per_nt=cap)
     initial_counts = {nt: g.num_rules(nt) for nt in g.nonterminals}
     forest = build_forest(g, [_module(size=10, seed=7)])
-    resolve_strategy("repair", budget_frac=frac).train(g, forest)
+    repair_seed(g, forest, budget_frac=frac)
     for nt in g.nonterminals:
         grown = g.num_rules(nt) - initial_counts[nt]
         budget = int(max(0, cap - initial_counts[nt]) * frac)
@@ -186,12 +208,7 @@ def test_seed_budget_frac_bounds_seeded_rules_per_nt():
 
 @pytest.mark.parametrize("strategy", ["repair", "hybrid"])
 def test_seeding_deterministic_across_runs(strategy):
-    runs = []
-    for _ in range(2):
-        g, report = train_grammar([_module()], strategy=strategy)
-        runs.append(([(r.lhs, r.rhs, r.origin, r.fragment) for r in g],
-                     report.seed_rules, report.contractions))
-    assert runs[0] == runs[1]
+    assert _seeded(strategy, [_module()]) == _seeded(strategy, [_module()])
 
 
 @pytest.mark.parametrize("strategy", ["repair", "hybrid"])
@@ -201,15 +218,7 @@ def test_seeding_deterministic_across_worker_counts(strategy, workers):
     parser reproduces exactly — so seeding (and everything downstream)
     is invariant under parser_workers."""
     corpus = [_module(size=6, seed=13), _module(size=4, seed=17)]
-    g_serial, r_serial = train_grammar(corpus, strategy=strategy)
-    g_par, r_par = train_grammar(corpus, strategy=strategy,
-                                 parser_workers=workers)
-    assert [(r.lhs, r.rhs, r.origin, r.fragment) for r in g_serial] == \
-           [(r.lhs, r.rhs, r.origin, r.fragment) for r in g_par]
-    assert (r_serial.seed_rules, r_serial.seed_rounds,
-            r_serial.contractions, r_serial.final_size) == \
-           (r_par.seed_rules, r_par.seed_rounds,
-            r_par.contractions, r_par.final_size)
+    assert _seeded(strategy, corpus) == _seeded(strategy, corpus, workers)
 
 
 def test_parallel_forest_merges_in_corpus_order():

@@ -319,7 +319,6 @@ def native_fleet(tmp_path_factory, world):
         tmp_path_factory.mktemp("native-chaos"), workers=2,
         worker_config={
             "batch_window": 0.005,
-            "native_isolation": "sandbox",
             "native_watchdog": 2.0,
             "fault_plan": _NATIVE_PLAN.to_dict(),
         })
@@ -399,55 +398,3 @@ def test_native_chaos_actually_fired(native_fleet):
     assert len(registry.poison_list()) == _NATIVE_STATS["poisoned"]
     # and the fleet never lost a worker to a native fault
     assert native_fleet["h"].pool.restarts_total == 0
-
-
-# -- in-process isolation: the intent journal under a real worker death ------
-
-def test_inproc_crash_converts_to_poison_within_two_respawns(
-        tmp_path_factory, world):
-    """Without the sandbox, a native crash *does* kill the worker — the
-    containment story is the intent journal: the respawned worker's
-    startup scan converts the orphaned intent to a poison verdict, so
-    a retrying client gets ``poison_input`` after at most one
-    worker_lost per worker, and the poisonous request can never
-    crash-loop the fleet."""
-    h = FleetHarness(
-        tmp_path_factory.mktemp("inproc-chaos"), workers=2,
-        worker_config={
-            "batch_window": 0.005,
-            "native_isolation": "inproc",
-            # every worker's first native run dies; repeats are guarded
-            # by the quarantine, not by the plan running dry
-            "fault_plan": {"seed": 11,
-                           "sites": {"native.crash": {"p": 1.0}}},
-        })
-    try:
-        with h.client() as client:
-            client.put_grammar(world["grammar_bytes"], tags=["prod"])
-        base_restarts = h.pool.restarts_total
-        with h.client(timeout=15.0,
-                      retry=RetryPolicy(15, base=0.2, cap=1.0),
-                      deadline=90.0) as client:
-            with pytest.raises(ServiceError) as exc:
-                client.call("run_compressed",
-                            {"module": world["rcx"], "args": [3, 14],
-                             "engine": "native"})
-        # the retry storm ended on the non-retryable verdict
-        assert exc.value.code == "poison_input"
-        # quarantined within <= 2 respawns (one crash per worker at
-        # most: after that the verdict fails everything fast)
-        h.wait_restarted(h.pool.restarts_total, timeout=30.0)
-        respawns = h.pool.restarts_total - base_restarts
-        assert 1 <= respawns <= 2, respawns
-        # the verdict is durable and names a dead-worker conversion
-        verdicts = h.dispatcher.registry.poison_list()
-        assert len(verdicts) == 1
-        assert verdicts[0]["verdict"] == "crash"
-        # healthy traffic still answers exactly on the healed fleet
-        with h.client(timeout=15.0,
-                      retry=RetryPolicy(10, base=0.1, cap=0.5),
-                      deadline=60.0) as client:
-            assert client.run_compressed(
-                world["rcx"]) == world["expected_run"]
-    finally:
-        h.close()

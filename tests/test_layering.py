@@ -46,7 +46,7 @@ def test_lint_catches_training_sublayer_up_import(tmp_path):
     shutil.copytree(SRC, bad)
     edges = bad / "training" / "edges.py"
     edges.write_text(edges.read_text()
-                     + "\nfrom .repair import RepairStrategy\n")
+                     + "\nfrom .repair import HybridStrategy\n")
     violations = check(bad)
     assert any("training/edges.py" in v and "repair" in v
                for v in violations)

@@ -1,20 +1,15 @@
-"""Poison-request quarantine: registry verdicts, intent journal, and
-the service's native-crash containment end to end.
+"""Poison-request quarantine: registry verdicts and the service's
+native-crash containment end to end.
 
 The quarantine is keyed by ``poison_key(grammar content key, request
 digest)``: a request that crashed or hung the native engine is recorded
 durably (a JSON sidecar in the registry's quarantine directory), fails
 fast with a non-retryable ``poison_input`` on every later attempt, and
 never dirties the registry's integrity verdict — poison records are
-deliberate bookkeeping, not corruption.  In-process native runs are
-journaled with an *intent* sidecar first, so a worker death mid-run
-converts to a poison verdict at the next startup scan.
+deliberate bookkeeping, not corruption.
 """
 
 import hashlib
-import json
-import subprocess
-import sys
 
 import pytest
 
@@ -90,76 +85,6 @@ def test_poison_records_do_not_dirty_verify(tmp_path):
     report = registry.verify()
     assert report["clean"]
     assert report["poison"] == 1
-
-
-# -- the intent journal -------------------------------------------------------
-
-def _dead_pid():
-    """A real, certainly-dead pid (a subprocess we already reaped)."""
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-def test_intent_cleared_on_survival(tmp_path):
-    registry = GrammarRegistry(tmp_path / "reg")
-    registry.record_native_intent(KEY_A, content_key="g" * 64,
-                                  request_digest="r" * 64)
-    registry.clear_native_intent(KEY_A)
-    assert registry.scan_native_intents() == []
-    assert registry.check_poison(KEY_A) is None
-
-
-def test_live_owner_intent_is_left_alone(tmp_path):
-    """An intent whose pid is alive is a run in progress, not a death:
-    the scan must not convert it."""
-    registry = GrammarRegistry(tmp_path / "reg")
-    registry.record_native_intent(KEY_A)  # recorded under *our* pid
-    assert registry.scan_native_intents() == []
-    assert registry.check_poison(KEY_A) is None
-    assert registry._intent_path(KEY_A).exists()
-    registry.clear_native_intent(KEY_A)
-
-
-def test_dead_owner_intent_converts_to_poison(tmp_path):
-    registry = GrammarRegistry(tmp_path / "reg")
-    registry.record_native_intent(KEY_A, content_key="g" * 64,
-                                  request_digest="r" * 64)
-    path = registry._intent_path(KEY_A)
-    intent = json.loads(path.read_text())
-    intent["pid"] = _dead_pid()
-    path.write_text(json.dumps(intent))
-    converted = registry.scan_native_intents()
-    assert [r["key"] for r in converted] == [KEY_A]
-    verdict = registry.check_poison(KEY_A)
-    assert verdict["verdict"] == "crash"
-    assert verdict["content_key"] == "g" * 64
-    assert "died mid-run" in verdict["detail"] \
-        or "never returned" in verdict["detail"]
-    assert not path.exists()
-    # idempotent: a second scan finds nothing left to convert
-    assert registry.scan_native_intents() == []
-
-
-def test_startup_scan_reports_conversions(tmp_path):
-    registry = GrammarRegistry(tmp_path / "reg")
-    registry.record_native_intent(KEY_A)
-    path = registry._intent_path(KEY_A)
-    intent = json.loads(path.read_text())
-    intent["pid"] = _dead_pid()
-    path.write_text(json.dumps(intent))
-    report = registry.startup_scan()
-    assert report["poison_converted"] == 1
-    assert report["clean"]
-
-
-def test_malformed_intent_is_swept_not_fatal(tmp_path):
-    registry = GrammarRegistry(tmp_path / "reg")
-    path = registry.quarantine_dir / (KEY_A + ".intent.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{not json")
-    assert registry.scan_native_intents() == []
-    assert not path.exists()
 
 
 # -- the service: quarantine end to end ---------------------------------------
@@ -311,7 +236,6 @@ def test_native_crash_quarantines_and_server_survives(served):
         engine = client.stats()["engine"]
         assert engine["native_crash"] == 1
         assert engine["poison_fastfail"] == 1
-        assert engine["isolation"] == "sandbox"
         assert pkey[:12] in engine["poisoned"]
         assert engine["sandbox"]["crashes"] == 1
     # and the registry still verifies clean
@@ -349,31 +273,3 @@ def test_native_hang_quarantines_via_watchdog(tmp_path, artifacts):  # noqa: F81
             assert "code" in result
     finally:
         h.close()
-
-
-@needs_cc
-def test_inproc_isolation_happy_path_leaves_no_intents(tmp_path, artifacts):  # noqa: F811
-    h = _Harness(tmp_path, batch_window=0.01, native_isolation="inproc")
-    try:
-        with h.client() as client:
-            client.put_grammar(artifacts["grammar_bytes"], tags=["prod"])
-            rcx = client.compress(artifacts["app_bytes"], "prod")
-            native = client.call("run_compressed",
-                                 _run_native_params(rcx))
-            compiled = client.call("run_compressed",
-                                   {"module": rcx, "args": []})
-            assert native["code"] == compiled["code"]
-            assert native.get("output") == compiled.get("output")
-            assert client.stats()["engine"]["isolation"] == "inproc"
-        registry = h.service.registry
-        assert list(registry.quarantine_dir.glob("*.intent.json")) == []
-        assert registry.poison_list() == []
-    finally:
-        h.close()
-
-
-def test_bad_isolation_value_is_rejected(tmp_path):
-    from repro.service import CompressionService
-    with pytest.raises(ValueError):
-        CompressionService(GrammarRegistry(tmp_path / "reg"),
-                           native_isolation="yolo")

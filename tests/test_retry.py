@@ -30,6 +30,8 @@ class _ScriptServer:
         self.script = list(script)
         self.requests = []
         self.connections = 0
+        self._closed = False
+        self._conn = None
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._sock.settimeout(10)
         self.port = self._sock.getsockname()[1]
@@ -40,6 +42,10 @@ class _ScriptServer:
         try:
             while self.script:
                 conn, _ = self._sock.accept()
+                self._conn = conn
+                if self._closed:  # close() ran before it saw this conn
+                    conn.close()
+                    break
                 self.connections += 1
                 with conn:
                     conn.settimeout(10)
@@ -67,10 +73,22 @@ class _ScriptServer:
             protocol.send_frame_sync(conn, body)
 
     def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Stop serving.  Shutting the listener and the live connection
+        down wakes the thread out of a blocking ``accept`` or ``recv``
+        (closing alone does not), so teardown never waits on a socket
+        timeout."""
+        self._closed = True
+        for sock in (self._sock, self._conn):
+            if sock is None:
+                continue
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                sock.close()
+            except OSError:
+                pass
 
     def __enter__(self):
         return self
@@ -78,6 +96,7 @@ class _ScriptServer:
     def __exit__(self, *exc):
         self.close()
         self._thread.join(5)
+        assert not self._thread.is_alive(), "script server thread hung"
 
 
 FAST = dict(base=0.001, cap=0.004)  # real sleeps, negligible wall time

@@ -200,3 +200,22 @@ def test_height_grammar_end_to_end_compression():
     cmod = compress_module(grammar, module)
     back = decompress_module(cmod)
     assert back.procedures[0].code == module.procedures[0].code
+
+
+def test_plan_tables_do_not_keep_grammars_alive():
+    """The parser's per-grammar plan tables live on the grammar's
+    program, so forests built over many short-lived grammars keep at
+    most the program cache's 16 grammars reachable, not every one."""
+    import gc
+    import weakref
+
+    module = assemble(CHECK_ASM)
+    refs = []
+    for _ in range(40):
+        g = initial_grammar()
+        build_forest(g, [module])
+        refs.append(weakref.ref(g))
+    del g
+    gc.collect()
+    alive = sum(1 for ref in refs if ref() is not None)
+    assert alive <= 16, f"{alive} of 40 grammars still reachable"

@@ -4,9 +4,10 @@ The greedy edge-contraction loop moved behind
 :class:`repro.training.TrainerStrategy` under a bit-identical contract,
 gated here by a frozen oracle (:mod:`repro.training.oracle`) across a
 50-seed golden sweep: same rules (ids, bodies, origins, fragments) and
-same report numbers as the pre-refactor loop.  The new MR-RePair seeding
-strategies (``repair``, ``hybrid``) are held to the same differential
-bar as every other trainer: grammars that ``check()``, byte-identical
+same report numbers as the pre-refactor loop.  MR-RePair seeding —
+alone (``repair``: :func:`repair_seed` with no refine phase) and inside
+the ``hybrid`` strategy — is held to the same differential bar as every
+other trainer: grammars that ``check()``, byte-identical
 compress/decompress round trips, engine agreement (compiled, reference,
 and — where a C compiler exists — native), and incremental-vs-naive
 edge-index equality through the refine phase.
@@ -32,15 +33,29 @@ from repro.training import (
     STRATEGIES,
     GreedyStrategy,
     HybridStrategy,
-    RepairStrategy,
     TrainerStrategy,
+    repair_seed,
     resolve_strategy,
 )
 from repro.training.edges import EdgeIndex
 from repro.training.oracle import oracle_expand_grammar
 
 GOLDEN_SEEDS = list(range(400, 450))
-STRATEGY_NAMES = ("greedy", "repair", "hybrid")
+STRATEGY_NAMES = ("greedy", "hybrid")
+
+
+class SeedOnly(TrainerStrategy):
+    """The seed phase alone: :func:`repair_seed` at its defaults, no
+    refinement — the seed-only grammar the sweeps below exercise."""
+
+    id = "repair"
+
+    def seed(self, grammar, forest, *, min_count=2):
+        return repair_seed(grammar, forest, min_count=min_count)
+
+
+#: test id -> strategy: both registered trainers plus seeding alone
+TRAINERS = {"greedy": "greedy", "repair": SeedOnly, "hybrid": "hybrid"}
 
 
 def _signature(grammar):
@@ -105,11 +120,12 @@ def test_greedy_strategy_matches_oracle_under_knobs():
 # -- differential sweep: every strategy's grammar behaves ---------------------
 
 
-@pytest.fixture(scope="module", params=STRATEGY_NAMES)
+@pytest.fixture(scope="module", params=list(TRAINERS))
 def strategy_grammar(request):
     corpus = [compile_source(generate_program(8, seed=s))
               for s in (411, 412)]
-    grammar, report = train_grammar(corpus, strategy=request.param)
+    grammar, report = train_grammar(corpus,
+                                    strategy=TRAINERS[request.param])
     grammar.check()
     return request.param, grammar, report
 
@@ -144,14 +160,14 @@ def test_strategy_report_provenance(strategy_grammar):
         assert report.strategy_params == {}
         assert report.seed_rules == 0 and report.seed_rounds == 0
     else:
-        assert report.strategy_params["max_rounds"] == 8
-        assert report.strategy_params["max_rule_symbols"] == 64
         assert report.seed_rules > 0 and report.seed_rounds > 0
         assert report.seed_contractions > 0
         assert report.seed_seconds >= 0.0
     if name == "repair":
         assert report.iterations == 0  # no refine phase
     if name == "hybrid":
+        assert report.strategy_params["max_rounds"] == 8
+        assert report.strategy_params["max_rule_symbols"] == 64
         assert report.iterations > 0  # refine ran after seeding
 
 
@@ -179,7 +195,7 @@ def test_seeded_forest_keeps_edge_index_consistent():
     corpus = _corpus(421)
     grammar = initial_grammar()
     forest = build_forest(grammar, corpus)
-    seeded = RepairStrategy().seed(grammar, forest)
+    seeded = repair_seed(grammar, forest)
     assert seeded.rules_added > 0
     EdgeIndex(grammar, forest).verify_against(forest)
 
@@ -202,6 +218,7 @@ def test_refine_identical_under_naive_index(name):
 
 def test_registry_knows_all_strategies():
     assert set(STRATEGY_NAMES) <= set(STRATEGIES)
+    assert "repair" not in STRATEGIES  # seeding alone is not a trainer
     for name in STRATEGY_NAMES:
         strat = resolve_strategy(name)
         assert strat.id == name
@@ -210,12 +227,12 @@ def test_registry_knows_all_strategies():
 def test_resolve_strategy_accepts_class_and_instance():
     strat = resolve_strategy(HybridStrategy)
     assert strat.id == "hybrid"
-    inst = RepairStrategy(max_rounds=3)
+    inst = HybridStrategy(max_rounds=3)
     assert resolve_strategy(inst) is inst
 
 
 def test_resolve_strategy_params_reach_constructor():
-    strat = resolve_strategy("repair", max_rounds=2, budget_frac=0.25)
+    strat = resolve_strategy("hybrid", max_rounds=2, budget_frac=0.25)
     assert strat.params() == {"max_rounds": 2, "max_rule_symbols": 64,
                               "budget_frac": 0.25}
 
@@ -227,7 +244,7 @@ def test_resolve_strategy_rejects_unknown_name():
 
 def test_resolve_strategy_rejects_params_on_instance():
     with pytest.raises(ValueError):
-        resolve_strategy(RepairStrategy(), max_rounds=2)
+        resolve_strategy(HybridStrategy(), max_rounds=2)
 
 
 def test_register_strategy_rejects_duplicate_id():
@@ -241,10 +258,11 @@ def test_register_strategy_rejects_duplicate_id():
 # -- satellite: per-phase stats surface ---------------------------------------
 
 
-@pytest.mark.parametrize("name", STRATEGY_NAMES)
+@pytest.mark.parametrize("name", list(TRAINERS))
 def test_stats_summary_reports_phases(name):
     corpus = _corpus(431, size=3, n=1)
-    _, stats = train_grammar(corpus, strategy=name, collect_stats=True)
+    _, stats = train_grammar(corpus, strategy=TRAINERS[name],
+                             collect_stats=True)
     lines = stats.summary_lines()
     text = "\n".join(lines)
     assert f"trainer: {name}" in lines[0]
