@@ -43,12 +43,7 @@ from .pipeline import (
     train_grammar,
 )
 from .registry import GrammarRegistry, RegistryError, corpus_fingerprint
-from .service import (
-    AsyncServiceClient,
-    CompressionService,
-    ServiceClient,
-    ServiceError,
-)
+from .service import CompressionService, ServiceClient, ServiceError
 from .training import TrainingReport, expand_grammar
 
 __version__ = "1.1.0"
@@ -64,7 +59,6 @@ __all__ = [
     "train_grammar",
     "TrainingReport", "expand_grammar",
     "GrammarRegistry", "RegistryError", "corpus_fingerprint",
-    "CompressionService", "ServiceClient", "AsyncServiceClient",
-    "ServiceError",
+    "CompressionService", "ServiceClient", "ServiceError",
     "__version__",
 ]

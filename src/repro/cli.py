@@ -166,16 +166,11 @@ def _cmd_run(args) -> int:
     if args.profile:
         from .interp.profile import profile_run
 
-        kwargs = {}
-        if not isinstance(program, Module):
-            if args.engine == "native":
-                print("profiling instruments the Python engines; "
-                      "using the compiled engine", file=sys.stderr)
-                kwargs["engine"] = "compiled"
-            else:
-                kwargs["engine"] = args.engine
+        if not isinstance(program, Module) and args.engine != "compiled":
+            print("profiling instruments the compiled engine's tables; "
+                  "using the compiled engine", file=sys.stderr)
         code, output, prof = profile_run(program, *args.args,
-                                         input_data=input_data, **kwargs)
+                                         input_data=input_data)
         sys.stdout.write(output.decode("utf-8", errors="replace"))
         err = sys.stderr
         print(f"-- profile: {prof.total_operators} operators, "

@@ -33,7 +33,7 @@ from ..parsing.stackparser import parse_blocks
 from .container import CompressedModule, CompressedProcedure
 from .tiling import Tiler
 
-__all__ = ["Compressor", "compress_module", "compress_procedure"]
+__all__ = ["Compressor", "compress_module"]
 
 _LABELV = opcode("LABELV")
 
@@ -47,10 +47,9 @@ class Compressor:
     nonterminal — reuse the previously computed derivation bytes instead
     of re-running the tiling/Earley search.  Pass ``cache_size=0`` to
     disable (every block is derived from scratch; output is identical
-    either way, which the property tests check).  Alternatively pass an
-    existing :class:`DerivationCache` as ``cache`` to share one memo
-    across compressors of the *same* grammar — how the service keeps a
-    warm cache across request batches.
+    either way, which the property tests check).  The service keeps one
+    compressor per grammar, so its cache stays warm across request
+    batches.
 
     Compression is container-independent: a :class:`CompressedModule`
     is the in-memory form that :func:`repro.storage.save_compressed`
@@ -58,17 +57,13 @@ class Compressor:
     """
 
     def __init__(self, grammar: Grammar, engine: str = "tiling", *,
-                 cache_size: int = 4096,
-                 cache: "DerivationCache | None" = None) -> None:
+                 cache_size: int = 4096) -> None:
         if engine not in ("tiling", "earley"):
             raise ValueError(f"unknown engine {engine!r}")
         self.grammar = grammar
         self.engine = engine
         self._tiler = Tiler(grammar) if engine == "tiling" else None
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = DerivationCache(cache_size) if cache_size else None
+        self.cache = DerivationCache(cache_size) if cache_size else None
 
     # -- block level ----------------------------------------------------------
     def compress_block_tree(self, tree) -> bytes:
@@ -145,19 +140,6 @@ class Compressor:
         for proc in module.procedures:
             cmod.procedures.append(self.compress_procedure(proc))
         return cmod
-
-    def compressed_size(self, module: Module) -> int:
-        """Total compressed code bytes for a module (no container
-        overheads)."""
-        return sum(
-            len(self.compress_procedure(p).code) for p in module.procedures
-        )
-
-
-def compress_procedure(grammar: Grammar, proc: Procedure,
-                       engine: str = "tiling") -> CompressedProcedure:
-    """One-shot convenience wrapper."""
-    return Compressor(grammar, engine).compress_procedure(proc)
 
 
 def compress_module(grammar: Grammar, module: Module,

@@ -1,24 +1,25 @@
-"""Execution profiling for both interpreters.
+"""Execution profiling for uncompressed and compressed modules.
 
 The paper's method is *profile-driven by static frequency*: the grammar is
 rewritten to shorten the training corpus's derivations — i.e. to compress
 the program text, not its execution.  This profiler measures the other
-side: what actually runs.  It wraps either executor and counts
+side: what actually runs.  It wraps the uncompressed interpreter or the
+direct-threaded engine and counts
 
-* operator executions (all executors),
-* rule dispatches per (nonterminal, codeword) — compressed executors
+* operator executions (both executors),
+* rule dispatches per (nonterminal, codeword) — compressed modules
   only: how often each *learned instruction* is fetched at run time,
 * block entries (derivation restarts) and branch transfers,
-* for the direct-threaded engine, a dispatch-depth histogram: how deep
-  the explicit return stack was at each rule dispatch (tail dispatches
+* for compressed modules, a dispatch-depth histogram: how deep the
+  explicit return stack was at each rule dispatch (tail dispatches
   replace in place, so this measures the *pending* right-hand-side work,
   not raw derivation depth).
 
-Profiling the direct-threaded engine walks the same flattened tables
-(:class:`~repro.interp.tables.CompiledTables`) the engine dispatches on,
-but executes the symbolic per-operator plans one at a time instead of the
-fused run functions — exact per-operator accounting, at reference-engine
-speed.
+A compressed module is always profiled over the flattened tables
+(:class:`~repro.interp.tables.CompiledTables`) the direct-threaded engine
+dispatches on, executing the symbolic per-operator plans one at a time
+instead of the fused run functions — exact per-operator accounting, at
+reference-engine speed.
 
 That enables an analysis the paper does not run but clearly invites: the
 correlation between a rule's static usage (how many bytes it saves) and
@@ -35,7 +36,6 @@ from typing import Any, Tuple
 from ..bytecode.opcodes import opname
 from .compiled import CompiledEngine
 from .interp1 import Interpreter1
-from .interp2 import Interpreter2
 from .state import IState, Jump, Return, Trap
 
 __all__ = ["ExecutionProfile", "ProfilingExecutor", "profile_run"]
@@ -59,7 +59,7 @@ class ExecutionProfile:
 
     @property
     def total_dispatches(self) -> int:
-        """Rule fetches (interp2) or operator fetches (interp1)."""
+        """Rule fetches (compressed) or operator fetches (interp1)."""
         return sum(self.rules.values()) or self.total_operators
 
     def top_operators(self, n: int = 10):
@@ -71,7 +71,7 @@ class ExecutionProfile:
 
 
 class ProfilingExecutor:
-    """Wraps an Interpreter1 or Interpreter2, recording a profile.
+    """Wraps an Interpreter1 or CompiledEngine, recording a profile.
 
     Plugs into :class:`repro.interp.runtime.Machine` exactly like the
     wrapped executor.
@@ -82,8 +82,6 @@ class ProfilingExecutor:
         self.profile = ExecutionProfile()
         if isinstance(inner, CompiledEngine):
             self._install_compiled_hooks(inner)
-        elif isinstance(inner, Interpreter2):
-            self._install_interp2_hooks(inner)
         elif isinstance(inner, Interpreter1):
             self._install_interp1_hooks(inner)
         else:  # pragma: no cover - defensive
@@ -129,62 +127,6 @@ class ProfilingExecutor:
         clone.module = inner.module
         clone._decoded = decoded
         self._run = clone.run_procedure
-
-    def _install_interp2_hooks(self, inner: Interpreter2) -> None:
-        profile = self.profile
-        outer = self
-
-        class _Tracing(Interpreter2):
-            def __init__(self):  # noqa: D401 - share tables, no re-init
-                self.module = inner.module
-                self.tables = inner.tables
-                self.byte_nt = inner.byte_nt
-
-            def _exec_derivation(self, machine, istate, code):
-                profile.blocks_entered += 1
-                return outer._trace_derivation(self, machine, istate, code)
-
-        self._run = _Tracing().run_procedure
-
-    def _trace_derivation(self, interp: Interpreter2, machine,
-                          istate: IState, code: bytes) -> None:
-        from .base import HANDLERS
-
-        profile = self.profile
-        tables = interp.tables
-        read = interp._read_byte
-        codeword = read(istate, code)
-        profile.rules[(tables.start, codeword)] += 1
-        program = tables.program(tables.start, codeword)
-        stack = [(program.steps, 0)]
-        while stack:
-            steps, i = stack[-1]
-            if i == len(steps):
-                stack.pop()
-                continue
-            stack[-1] = (steps, i + 1)
-            step = steps[i]
-            if step[0] == "op":
-                _, op, plan = step
-                operands = tuple(
-                    b if b is not None else read(istate, code)
-                    for b in plan
-                ) if plan else ()
-                machine.instret += 1
-                profile.operators[op] += 1
-                try:
-                    HANDLERS[op](istate, machine, operands)
-                except Jump:
-                    profile.branches_taken += 1
-                    raise
-                except Return:
-                    profile.returns += 1
-                    raise
-            else:
-                codeword = read(istate, code)
-                profile.rules[(step[1], codeword)] += 1
-                sub = tables.program(step[1], codeword)
-                stack.append((sub.steps, 0))
 
     def _install_compiled_hooks(self, inner: CompiledEngine) -> None:
         outer = self
@@ -305,26 +247,17 @@ class ProfilingExecutor:
         return self._run(machine, index, istate)
 
 
-def profile_run(program, *args: int, input_data: bytes = b"",
-                engine: str = "compiled") -> Tuple[int, bytes,
-                                                   ExecutionProfile]:
-    """Run a Module or CompressedModule under the profiler.
-
-    For compressed modules ``engine`` selects the executor being
-    instrumented: ``"compiled"`` (the direct-threaded engine's tables,
-    with the dispatch-depth histogram) or ``"reference"`` (interp2).
-    """
+def profile_run(program, *args: int, input_data: bytes = b""
+                ) -> Tuple[int, bytes, ExecutionProfile]:
+    """Run a Module (on Interpreter1) or CompressedModule (over the
+    direct-threaded engine's tables) under the profiler."""
     from ..bytecode.module import Module
     from .runtime import Machine
 
     if isinstance(program, Module):
         executor = ProfilingExecutor(Interpreter1(program))
-    elif engine == "reference":
-        executor = ProfilingExecutor(Interpreter2(program))
-    elif engine == "compiled":
-        executor = ProfilingExecutor(CompiledEngine(program))
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        executor = ProfilingExecutor(CompiledEngine(program))
     machine = Machine(program, executor, input_data=input_data)
     code = machine.run(*args)
     return code, bytes(machine.output), executor.profile

@@ -4,12 +4,11 @@ as a long-lived network server.
 A :class:`CompressionService` owns a
 :class:`~repro.registry.GrammarRegistry` and serves ``compress`` /
 ``decompress`` / ``run_compressed`` / ``grammar.*`` / ``health`` /
-``stats`` over length-prefixed frames — binary by default, with
-per-frame legacy-JSON interop (see :mod:`repro.service.protocol` and
-``docs/SERVICE.md``).  Compression requests against the same grammar
-are micro-batched onto a shared derivation cache; a semaphore caps
-in-flight work and a high-water mark sheds load with ``overloaded``
-errors instead of unbounded queueing.
+``stats`` over length-prefixed binary frames (see
+:mod:`repro.service.protocol` and ``docs/SERVICE.md``).  Compression
+requests against the same grammar are micro-batched onto a shared
+derivation cache; a semaphore caps in-flight work and a high-water mark
+sheds load with ``overloaded`` errors instead of unbounded queueing.
 
 For multi-core hosts, :class:`FleetDispatcher` (``serve --workers N``)
 runs N such services as supervised worker processes behind one port,
@@ -18,7 +17,7 @@ killed workers, and aggregating ``stats`` fleet-wide.
 """
 
 from .breaker import CircuitBreaker
-from .client import AsyncServiceClient, ServiceClient, ServiceError
+from .client import ServiceClient, ServiceError
 from .dispatch import FleetDispatcher
 from .metrics import ServiceMetrics
 from .pool import WorkerPool
@@ -31,7 +30,6 @@ __all__ = [
     "FleetDispatcher",
     "WorkerPool",
     "ServiceClient",
-    "AsyncServiceClient",
     "ServiceError",
     "ServiceMetrics",
     "RetryPolicy",

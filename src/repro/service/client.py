@@ -1,10 +1,9 @@
-"""Sync and async clients for the compression service.
+"""The client for the compression service.
 
 :class:`ServiceClient` is a plain blocking-socket client — no asyncio in
 the caller's process, usable from threads (one connection per instance;
 instances are not thread-safe, share nothing or use one per thread).
-:class:`AsyncServiceClient` is the same surface over asyncio streams.
-Both raise :class:`ServiceError` carrying the server's structured error
+It raises :class:`ServiceError` carrying the server's structured error
 code (``overloaded``, ``timeout``, ``not_found``, ...).
 
 Retry is built in: pass a :class:`~repro.service.retry.RetryPolicy` and
@@ -21,26 +20,19 @@ A ``deadline`` (seconds of total budget for the call, retries included)
 bounds the loop: sleeps never exceed the remaining budget, the remaining
 budget travels to the server in each request envelope (the server clamps
 its per-request timeout to it), and an exhausted budget stops retrying.
-
-Framing: both clients speak the zero-copy **binary frames** by default
-(module bytes cross the wire raw, not base64); pass ``binary=False`` for
-the legacy JSON-only framing — the server answers each request in the
-framing it arrived in, so either mode works against any current server.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import protocol
-from .protocol import ServiceError, b64d
+from .protocol import ServiceError
 from .retry import TRANSPORT, RetryPolicy
 
-__all__ = ["ServiceClient", "AsyncServiceClient", "ServiceError",
-           "RetryPolicy"]
+__all__ = ["ServiceClient", "ServiceError", "RetryPolicy"]
 
 
 def _check_response(msg: dict, expect_id: int) -> dict:
@@ -65,18 +57,13 @@ def _check_response(msg: dict, expect_id: int) -> dict:
 
 
 def _bytes_field(result: dict, key: str) -> bytes:
-    """A binary result field: raw bytes off a binary frame, or base64
-    off a JSON frame."""
+    """A result's bytes field: every method returns at most one, so it
+    is the frame's raw payload."""
     value = result.get(key)
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return bytes(value)
-    if isinstance(value, str):
-        return b64d(value)
-    raise ServiceError("protocol", f"response missing binary field {key!r}")
-
-
-def _deadline_at(deadline: Optional[float]) -> Optional[float]:
-    return time.monotonic() + deadline if deadline is not None else None
+    if not isinstance(value, bytes):
+        raise ServiceError("protocol",
+                           f"response missing binary field {key!r}")
+    return value
 
 
 def _remaining(deadline_at: Optional[float]) -> Optional[float]:
@@ -98,64 +85,7 @@ def _envelope(req_id: int, method: str, params: Optional[dict],
     return msg
 
 
-def _next_delay(policy: RetryPolicy, attempt: int,
-                deadline_at: Optional[float]) -> float:
-    """Backoff before retry ``attempt``, clipped to the deadline budget."""
-    delay = policy.backoff(attempt)
-    remaining = _remaining(deadline_at)
-    if remaining is not None:
-        delay = min(delay, max(0.0, remaining))
-    return delay
-
-
-def _check_budget(deadline_at: Optional[float],
-                  last: Optional[ServiceError]) -> None:
-    """Stop retrying on an exhausted deadline: surface the *last*
-    structured error (the caller learns what the server actually said,
-    not a synthetic timeout) unless no attempt ever ran."""
-    remaining = _remaining(deadline_at)
-    if remaining is not None and remaining <= 0:
-        if last is not None:
-            raise last
-        raise ServiceError(protocol.E_TIMEOUT,
-                           "client deadline exhausted before the "
-                           "request was sent")
-
-
-class _MethodMixin:
-    """Typed convenience wrappers over ``call`` — shared by both clients
-    modulo sync/async, via the subclass's ``_call`` being awaited or not
-    at the call site (each wrapper is duplicated below where the calling
-    convention differs)."""
-
-    @staticmethod
-    def _compress_params(module_data: bytes, grammar_ref: str,
-                         format: str = "rcx1") -> dict:
-        # raw bytes: the framing codec carries them as the binary
-        # payload (or base64s them in legacy JSON mode)
-        params = {"module": bytes(module_data), "grammar": grammar_ref}
-        if format != "rcx1":
-            params["format"] = format
-        return params
-
-    @staticmethod
-    def _run_params(module_data: bytes, args: Sequence[int],
-                    input_data: bytes) -> dict:
-        params: Dict = {"module": bytes(module_data), "args": list(args)}
-        if input_data:
-            params["input"] = bytes(input_data)
-        return params
-
-    @staticmethod
-    def _put_params(grammar_data: bytes, tags: Sequence[str],
-                    meta: Optional[dict]) -> dict:
-        params: Dict = {"data": bytes(grammar_data), "tags": list(tags)}
-        if meta is not None:
-            params["meta"] = meta
-        return params
-
-
-class ServiceClient(_MethodMixin):
+class ServiceClient:
     """Blocking client.  Usable as a context manager.
 
     ``retry=None`` (the default) keeps the old single-shot behaviour;
@@ -167,14 +97,12 @@ class ServiceClient(_MethodMixin):
                  port: int = protocol.DEFAULT_PORT, *,
                  timeout: Optional[float] = 60.0,
                  retry: Optional[RetryPolicy] = None,
-                 deadline: Optional[float] = None,
-                 binary: bool = True) -> None:
+                 deadline: Optional[float] = None) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retry = retry
         self.default_deadline = deadline
-        self.binary = binary
         self._next_id = 0
         self._sock: Optional[socket.socket] = socket.create_connection(
             (host, port), timeout=timeout)
@@ -207,9 +135,8 @@ class ServiceClient(_MethodMixin):
         req_id = self._next_id
         try:
             protocol.send_message_sync(
-                self._sock, _envelope(req_id, method, params, deadline_at),
-                binary=self.binary)
-            msg, _ = protocol.recv_message_sync(self._sock)
+                self._sock, _envelope(req_id, method, params, deadline_at))
+            msg = protocol.recv_message_sync(self._sock)
         except (OSError, protocol.FrameError) as exc:
             self.close()  # the stream may be desynced: start fresh
             raise ServiceError(TRANSPORT, str(exc)) from exc
@@ -224,12 +151,22 @@ class ServiceClient(_MethodMixin):
              deadline: Optional[float] = None) -> dict:
         if deadline is None:
             deadline = self.default_deadline
-        deadline_at = _deadline_at(deadline)
+        deadline_at = (time.monotonic() + deadline
+                       if deadline is not None else None)
         policy = self.retry
         attempts = policy.max_attempts if policy is not None else 1
         last: Optional[ServiceError] = None
         for attempt in range(attempts):
-            _check_budget(deadline_at, last)
+            remaining = _remaining(deadline_at)
+            if remaining is not None and remaining <= 0:
+                # Stop retrying on an exhausted deadline: surface the
+                # *last* structured error (what the server actually
+                # said, not a synthetic timeout) unless no attempt ran.
+                if last is not None:
+                    raise last
+                raise ServiceError(protocol.E_TIMEOUT,
+                                   "client deadline exhausted before the "
+                                   "request was sent")
             try:
                 return self._call_once(method, params, deadline_at)
             except ServiceError as exc:
@@ -237,7 +174,12 @@ class ServiceClient(_MethodMixin):
                 if policy is None or not policy.retries(exc.code) \
                         or attempt + 1 >= attempts:
                     raise
-            time.sleep(_next_delay(policy, attempt, deadline_at))
+            # backoff, clipped to the deadline budget
+            delay = policy.backoff(attempt)
+            remaining = _remaining(deadline_at)
+            if remaining is not None:
+                delay = min(delay, max(0.0, remaining))
+            time.sleep(delay)
         raise last  # pragma: no cover — loop always raises or returns
 
     # -- convenience methods ------------------------------------------------
@@ -251,9 +193,10 @@ class ServiceClient(_MethodMixin):
     def put_grammar(self, grammar_data: bytes,
                     tags: Sequence[str] = (),
                     meta: Optional[dict] = None) -> str:
-        return self.call("grammar.put",
-                         self._put_params(grammar_data, tags,
-                                          meta))["hash"]
+        params: Dict = {"data": bytes(grammar_data), "tags": list(tags)}
+        if meta is not None:
+            params["meta"] = meta
+        return self.call("grammar.put", params)["hash"]
 
     def list_grammars(self) -> dict:
         return self.call("grammar.list")
@@ -264,10 +207,10 @@ class ServiceClient(_MethodMixin):
 
     def compress(self, module_data: bytes, grammar_ref: str,
                  format: str = "rcx1") -> bytes:
-        result = self.call("compress",
-                           self._compress_params(module_data,
-                                                 grammar_ref, format))
-        return _bytes_field(result, "data")
+        params = {"module": bytes(module_data), "grammar": grammar_ref}
+        if format != "rcx1":
+            params["format"] = format
+        return _bytes_field(self.call("compress", params), "data")
 
     def decompress(self, compressed_data: bytes) -> bytes:
         result = self.call("decompress",
@@ -277,137 +220,9 @@ class ServiceClient(_MethodMixin):
     def run_compressed(self, compressed_data: bytes,
                        args: Sequence[int] = (),
                        input_data: bytes = b"") -> Tuple[int, bytes]:
-        result = self.call("run_compressed",
-                           self._run_params(compressed_data, args,
-                                            input_data))
-        return result["code"], _bytes_field(result, "output")
-
-
-class AsyncServiceClient(_MethodMixin):
-    """The same surface over asyncio streams (same retry semantics)."""
-
-    def __init__(self, host: str = "127.0.0.1",
-                 port: int = protocol.DEFAULT_PORT, *,
-                 retry: Optional[RetryPolicy] = None,
-                 deadline: Optional[float] = None,
-                 binary: bool = True) -> None:
-        self.host = host
-        self.port = port
-        self.retry = retry
-        self.default_deadline = deadline
-        self.binary = binary
-        self._next_id = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    async def connect(self) -> "AsyncServiceClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
-        return self
-
-    async def close(self) -> None:
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    async def _call_once(self, method: str, params: Optional[dict],
-                         deadline_at: Optional[float]) -> dict:
-        if self._reader is None:
-            try:
-                await self.connect()
-            except OSError as exc:
-                raise ServiceError(
-                    TRANSPORT, f"cannot connect to "
-                    f"{self.host}:{self.port}: {exc}") from exc
-        self._next_id += 1
-        req_id = self._next_id
-        try:
-            await protocol.write_message(
-                self._writer,
-                _envelope(req_id, method, params, deadline_at),
-                binary=self.binary)
-            item = await protocol.read_message(self._reader)
-        except (OSError, protocol.FrameError) as exc:
-            await self.close()
-            raise ServiceError(TRANSPORT, str(exc)) from exc
-        if item is None:
-            await self.close()
-            raise ServiceError(TRANSPORT, "server closed the connection")
-        try:
-            return _check_response(item[0], req_id)
-        except ServiceError as exc:
-            if exc.code in ("protocol", TRANSPORT):
-                await self.close()
-            raise
-
-    async def call(self, method: str,
-                   params: Optional[dict] = None, *,
-                   deadline: Optional[float] = None) -> dict:
-        if deadline is None:
-            deadline = self.default_deadline
-        deadline_at = _deadline_at(deadline)
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        last: Optional[ServiceError] = None
-        for attempt in range(attempts):
-            _check_budget(deadline_at, last)
-            try:
-                return await self._call_once(method, params, deadline_at)
-            except ServiceError as exc:
-                last = exc
-                if policy is None or not policy.retries(exc.code) \
-                        or attempt + 1 >= attempts:
-                    raise
-            await asyncio.sleep(
-                _next_delay(policy, attempt, deadline_at))
-        raise last  # pragma: no cover — loop always raises or returns
-
-    async def health(self) -> dict:
-        return await self.call("health")
-
-    async def stats(self) -> dict:
-        return await self.call("stats")
-
-    async def put_grammar(self, grammar_data: bytes,
-                          tags: Sequence[str] = (),
-                          meta: Optional[dict] = None) -> str:
-        result = await self.call(
-            "grammar.put", self._put_params(grammar_data, tags, meta))
-        return result["hash"]
-
-    async def list_grammars(self) -> dict:
-        return await self.call("grammar.list")
-
-    async def get_grammar(self, ref: str) -> Tuple[bytes, dict]:
-        result = await self.call("grammar.get", {"ref": ref})
-        return _bytes_field(result, "data"), result["meta"]
-
-    async def compress(self, module_data: bytes, grammar_ref: str,
-                       format: str = "rcx1") -> bytes:
-        result = await self.call(
-            "compress",
-            self._compress_params(module_data, grammar_ref, format))
-        return _bytes_field(result, "data")
-
-    async def decompress(self, compressed_data: bytes) -> bytes:
-        result = await self.call("decompress",
-                                 {"module": bytes(compressed_data)})
-        return _bytes_field(result, "data")
-
-    async def run_compressed(self, compressed_data: bytes,
-                             args: Sequence[int] = (),
-                             input_data: bytes = b"") -> Tuple[int, bytes]:
-        result = await self.call(
-            "run_compressed",
-            self._run_params(compressed_data, args, input_data))
+        params: Dict = {"module": bytes(compressed_data),
+                        "args": list(args)}
+        if input_data:
+            params["input"] = bytes(input_data)
+        result = self.call("run_compressed", params)
         return result["code"], _bytes_field(result, "output")

@@ -1,12 +1,12 @@
 """The fleet dispatcher: one accept loop, N worker processes.
 
 The single-process :class:`CompressionService` pins the whole box on one
-CPU-bound compress.  The dispatcher keeps the same wire protocol and the
-same lifecycle (start / serve_until_stopped / drain on SIGTERM) but does
-none of the work itself: it accepts client connections, picks a worker,
-and relays the request envelope over a pooled connection — binary frames
-on the worker hop, so bulk payloads cross the dispatcher without a
-base64 round-trip.
+CPU-bound compress.  The dispatcher shares its front door — the wire
+protocol, the connection loop and the lifecycle of
+:class:`~repro.service.protocol.FrameServer` — but does none of the work
+itself: it accepts client connections, picks a worker, and relays the
+request envelope over a pooled connection, so bulk payloads cross the
+dispatcher raw.
 
 Routing is **grammar-affine**: requests that name a grammar (compress)
 hash the *resolved content digest* onto a worker index, so all traffic
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import signal
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +39,7 @@ from ..registry import GrammarRegistry, RegistryError
 from . import protocol
 from .metrics import merge_stats, scan_summary
 from .pool import WorkerHandle, WorkerPool
-from .protocol import FrameError, ServiceError
+from .protocol import FrameError, FrameServer, ServiceError
 
 __all__ = ["FleetDispatcher"]
 
@@ -75,13 +74,12 @@ class _WorkerConn:
             pass
 
 
-class FleetDispatcher:
+class FleetDispatcher(FrameServer):
     """Accepts client connections and routes to a :class:`WorkerPool`.
 
-    Drop-in for :class:`CompressionService` at the lifecycle level:
-    ``start`` / ``serve_until_stopped`` / ``serve_forever`` /
-    ``request_shutdown`` / ``stop`` / ``port``.  ``worker_config`` is
-    passed through to each worker's ``CompressionService``.
+    Drop-in for :class:`CompressionService` at the lifecycle level (both
+    are a :class:`FrameServer`).  ``worker_config`` is passed through to
+    each worker's ``CompressionService``.
     """
 
     def __init__(self, registry_path: str, *, workers: int,
@@ -90,6 +88,7 @@ class FleetDispatcher:
                  integrity_scan: bool = True) -> None:
         if workers < 1:
             raise ValueError("fleet needs at least one worker")
+        super().__init__()
         self.registry_path = str(registry_path)
         self.registry = GrammarRegistry(registry_path)
         self.request_timeout = request_timeout
@@ -107,15 +106,8 @@ class FleetDispatcher:
         self._routed = 0
         self._worker_lost_total = 0
         self._conns: List[List[_WorkerConn]] = [[] for _ in range(workers)]
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stop_requested: Optional[asyncio.Event] = None
-        self._writers: set = set()
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = protocol.DEFAULT_PORT) -> None:
@@ -123,29 +115,8 @@ class FleetDispatcher:
             # heal once, centrally — workers skip their own scan so N
             # processes never race the same quarantine/repair renames
             self.startup_report = self.registry.startup_scan()
-        self._stop_requested = asyncio.Event()
         await self.pool.start()
-        self._server = await asyncio.start_server(
-            self._handle_conn, host, port)
-
-    async def serve_forever(self, host: str = "127.0.0.1",
-                            port: int = protocol.DEFAULT_PORT) -> None:
-        await self.start(host, port)
-        await self.serve_until_stopped()
-
-    async def serve_until_stopped(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._stop_requested.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await self._stop_requested.wait()
-        await self.stop()
-
-    def request_shutdown(self) -> None:
-        if self._stop_requested is not None:
-            self._stop_requested.set()
+        await self._listen(host, port)
 
     async def stop(self, grace: float = 30.0) -> None:
         """Fleet drain: reject new work, let in-flight requests finish,
@@ -155,12 +126,7 @@ class FleetDispatcher:
         while self._pending > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         await self.pool.stop(grace=max(1.0, deadline - time.monotonic()))
-        await asyncio.sleep(0.05)  # let final error frames flush
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+        await self._close_listener()
         for conns in self._conns:
             while conns:
                 conns.pop().close()
@@ -177,42 +143,7 @@ class FleetDispatcher:
             conns.remove(conn)
             conn.close()
 
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    item = await protocol.read_message(reader)
-                except FrameError as exc:
-                    try:
-                        await protocol.write_message(
-                            writer, protocol.error_body(
-                                None, protocol.E_BAD_REQUEST,
-                                f"unreadable frame: {exc}"))
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                if item is None:
-                    break
-                msg, binary = item
-                response = await self._handle_request(msg)
-                try:
-                    await protocol.write_message(writer, response,
-                                                 binary=binary)
-                except (ConnectionError, FrameError):
-                    break
-        except asyncio.CancelledError:
-            pass  # loop teardown cancelling idle readers: end quietly
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    # -- requests -----------------------------------------------------------
 
     async def _handle_request(self, msg: dict) -> dict:
         req_id = msg.get("id")
@@ -316,11 +247,11 @@ class FleetDispatcher:
         return _WorkerConn(reader, writer, handle.generation)
 
     async def _forward(self, index: int, msg: dict) -> dict:
-        """Relay one envelope to a worker; binary framing on the hop."""
+        """Relay one envelope to a worker."""
         conn = await self._checkout(index)
         try:
-            await protocol.write_message(conn.writer, msg, binary=True)
-            item = await protocol.read_message(conn.reader)
+            await protocol.write_message(conn.writer, msg)
+            reply = await protocol.read_message(conn.reader)
         except asyncio.CancelledError:
             conn.close()
             raise
@@ -330,7 +261,7 @@ class FleetDispatcher:
                 protocol.E_WORKER_LOST,
                 f"worker {index} dropped the request ({exc}); "
                 "safe to retry") from None
-        if item is None:
+        if reply is None:
             conn.close()
             raise ServiceError(
                 protocol.E_WORKER_LOST,
@@ -341,7 +272,7 @@ class FleetDispatcher:
             self._conns[index].append(conn)  # still warm: pool it
         else:
             conn.close()
-        return item[0]
+        return reply
 
     # -- fleet-local methods ------------------------------------------------
 

@@ -1,36 +1,32 @@
-"""Wire protocol: length-prefixed JSON frames, plus binary payload frames.
+"""Wire protocol: length-prefixed binary frames, and the listener that
+speaks them.
 
-Two frame kinds share one 4-byte big-endian length word:
-
-* **JSON frame** (legacy, high bit clear): the word is the byte length of
-  a UTF-8 JSON body.  Requests carry ``{"id", "method", "params"}``;
-  responses echo the id with either ``{"ok": true, "result": ...}`` or
-  ``{"ok": false, "error": {"code", "message"}}``.  Binary payloads
-  (module and grammar files) travel base64-encoded under ``data`` keys.
-* **Binary frame** (high bit set): the low 31 bits are the body length;
-  the body is a second 4-byte big-endian *header length*, that many bytes
-  of UTF-8 JSON header, then raw payload bytes.  The header is the same
-  envelope, minus one bulk field: ``"bin"`` names the ``params`` /
-  ``result`` key the payload binds to, so module bytes cross the wire
-  exactly once, with no base64 inflation and no JSON string copy.
+A frame is a 4-byte big-endian length word with its high bit set, whose
+low 31 bits are the body length.  The body is a second 4-byte
+big-endian *header length*, that many bytes of UTF-8 JSON header, then
+raw payload bytes.  Requests carry ``{"id", "method", "params"}``;
+responses echo the id with either ``{"ok": true, "result": ...}`` or
+``{"ok": false, "error": {"code", "message"}}``.  The header is that
+envelope minus one bulk field: ``"bin"`` names the ``params`` /
+``result`` key the payload binds to, so module bytes cross the wire
+exactly once, with no base64 inflation and no JSON string copy.
 
 ::
 
-    JSON:    [u32 len          ][ UTF-8 JSON body ...................]
-    binary:  [u32 0x8000_0000|n][u32 hlen][ header JSON ][ payload ...]
-                                 \\------------- n bytes -------------/
+    [u32 0x8000_0000|n][u32 hlen][ header JSON ][ payload ...]
+                        \\------------- n bytes -------------/
 
-Readers accept both kinds on any connection and report which one arrived
-(:func:`read_message`, :func:`recv_message_sync`), so a server answers
-each request in the framing the client chose — new binary clients and
-legacy JSON-only clients coexist on the same port.  Writers take the
-mode explicitly (:func:`write_message`, :func:`send_message_sync`); in
-either mode, ``params``/``result`` values of type :class:`bytes` are
-normalised by the codec — the largest becomes the binary payload, any
-others (and everything in JSON mode) are base64-encoded.
+``params``/``result`` values of type :class:`bytes` are normalised by
+the codec: the largest becomes the payload, any others are
+base64-encoded into the header.  A length word with the high bit clear
+is a :class:`FrameError`, like any other unreadable frame.
 
 Frames are capped at 64 MiB: a bad length prefix must not make either
 side allocate gigabytes.
+
+:class:`FrameServer` is the one front door on top of the codec: the
+connection loop and the signal lifecycle that the single-process
+service and the fleet dispatcher share.
 """
 
 from __future__ import annotations
@@ -38,26 +34,27 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import signal
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import Optional
 
 from .. import faults
 
 __all__ = [
     "DEFAULT_PORT", "MAX_FRAME", "BINARY_BIT", "FrameError", "ServiceError",
     "RETRYABLE",
-    "encode_frame", "encode_message", "decode_body", "decode_binary_body",
-    "read_frame", "write_frame", "read_message", "write_message",
-    "recv_frame_sync", "send_frame_sync",
+    "encode_message", "decode_body", "decode_binary_body",
+    "read_message", "write_message",
     "recv_message_sync", "send_message_sync",
     "b64e", "b64d",
     "error_body", "result_body",
+    "FrameServer",
 ]
 
 DEFAULT_PORT = 7327
 MAX_FRAME = 64 << 20
-#: high bit of the length word: the frame is binary (header + payload)
+#: high bit of the length word, set on every frame
 BINARY_BIT = 0x80000000
 
 # error codes, used across server and clients
@@ -120,27 +117,18 @@ def b64d(text: str) -> bytes:
         raise FrameError(f"invalid base64 payload: {exc}") from exc
 
 
-def encode_frame(obj: dict) -> bytes:
-    """A legacy JSON frame; ``obj`` must already be pure JSON."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise FrameError(f"frame too large ({len(body)} bytes)")
-    return struct.pack(">I", len(body)) + body
-
-
 #: envelope sections whose values may be raw bytes
 _SECTIONS = ("params", "result")
 _BYTES = (bytes, bytearray, memoryview)
 
 
-def encode_message(obj: dict, binary: bool = False) -> bytes:
+def encode_message(obj: dict) -> bytes:
     """Encode an envelope whose ``params``/``result`` may hold raw bytes.
 
-    JSON mode base64-encodes every bytes value (producing exactly the
-    legacy wire format).  Binary mode moves the *largest* bytes value
-    out of the header as the frame's raw payload (recorded under
-    ``"bin"``) and base64-encodes any others — per envelope there is at
-    most one bulk field, so the hot path never base64s at all.
+    The *largest* bytes value moves out of the header as the frame's
+    raw payload (recorded under ``"bin"``) and any others are
+    base64-encoded — per envelope there is at most one bulk field, so
+    the hot path never base64s at all.
     """
     out = dict(obj)
     payload = b""
@@ -153,15 +141,13 @@ def encode_message(obj: dict, binary: bool = False) -> bytes:
         if not keys:
             continue
         inner = dict(inner)
-        if binary and bin_key is None:
+        if bin_key is None:
             bin_key = max(keys, key=lambda k: len(inner[k]))
             payload = bytes(inner.pop(bin_key))
             keys.remove(bin_key)
         for key in keys:
             inner[key] = b64e(bytes(inner[key]))
         out[section] = inner
-    if not binary:
-        return encode_frame(out)
     if bin_key is not None:
         out["bin"] = bin_key
     header = json.dumps(out, separators=(",", ":")).encode("utf-8")
@@ -275,43 +261,45 @@ async def _write_fault(rule, writer: asyncio.StreamWriter,
     return frame
 
 
-async def read_message(reader: asyncio.StreamReader
-                       ) -> Optional[Tuple[dict, bool]]:
-    """Next frame as ``(message, was_binary)``, or ``None`` on clean EOF
-    at a frame boundary."""
+def _body_length(word: bytes) -> int:
+    """The body length a frame's 4-byte length word announces."""
+    length = struct.unpack(">I", word)[0] & ~BINARY_BIT
+    if length > MAX_FRAME:
+        raise FrameError(f"frame too large ({length} bytes)")
+    return length
+
+
+def _decode_frame(word: bytes, body: bytes) -> dict:
+    """The message in one frame.  A frame without the binary bit is
+    refused only after its body is read, so the stream stays in step and
+    the peer's error frame and hang-up arrive cleanly."""
+    if not int.from_bytes(word, "big") & BINARY_BIT:
+        raise FrameError("length word lacks the binary-frame bit")
+    return decode_binary_body(body)
+
+
+async def read_message(reader: asyncio.StreamReader) -> Optional[dict]:
+    """Next frame's message, or ``None`` on clean EOF at a frame
+    boundary."""
     if faults.ACTIVE is not None:
         rule = faults.ACTIVE.decide("service.frame.read")
         if rule is not None:
             await _read_fault(rule)
     try:
-        header = await reader.readexactly(4)
+        word = await reader.readexactly(4)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise FrameError("connection closed mid-frame") from exc
-    (word,) = struct.unpack(">I", header)
-    binary = bool(word & BINARY_BIT)
-    length = word & ~BINARY_BIT
-    if length > MAX_FRAME:
-        raise FrameError(f"frame too large ({length} bytes)")
     try:
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(_body_length(word))
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
-    if binary:
-        return decode_binary_body(body), True
-    return decode_body(body), False
+    return _decode_frame(word, body)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
-    """:func:`read_message` without the framing-mode flag."""
-    item = await read_message(reader)
-    return None if item is None else item[0]
-
-
-async def write_message(writer: asyncio.StreamWriter, obj: dict,
-                        binary: bool = False) -> None:
-    frame = encode_message(obj, binary)
+async def write_message(writer: asyncio.StreamWriter, obj: dict) -> None:
+    frame = encode_message(obj)
     if faults.ACTIVE is not None:
         rule = faults.ACTIVE.decide("service.frame.write")
         if rule is not None:
@@ -322,8 +310,106 @@ async def write_message(writer: asyncio.StreamWriter, obj: dict,
     await writer.drain()
 
 
-async def write_frame(writer: asyncio.StreamWriter, obj: dict) -> None:
-    await write_message(writer, obj, binary=False)
+class FrameServer:
+    """The front door of :class:`~repro.service.server.CompressionService`
+    and :class:`~repro.service.dispatch.FleetDispatcher`: one connection
+    loop and one signal lifecycle.
+
+    A subclass provides ``start(host, port)``, which binds through
+    :meth:`_listen`; ``stop()``, which drains its own work and then calls
+    :meth:`_close_listener`; and ``_handle_request(msg)``, which turns
+    one request envelope into its response envelope.
+    """
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._stop_requested: Optional[asyncio.Event] = None
+        self._writers: set = set()
+
+    @property
+    def port(self) -> int:
+        """The bound port (useful after binding port 0)."""
+        return self._server.sockets[0].getsockname()[1]
+
+    async def _listen(self, host: str, port: int,
+                      unix_path: Optional[str] = None) -> None:
+        """Bind TCP, or a Unix domain socket when ``unix_path`` is set."""
+        self._stop_requested = asyncio.Event()
+        if unix_path is not None:
+            self._server = await asyncio.start_unix_server(
+                self._handle_conn, path=unix_path)
+        else:
+            self._server = await asyncio.start_server(
+                self._handle_conn, host, port)
+
+    async def serve_forever(self, host: str = "127.0.0.1",
+                            port: int = DEFAULT_PORT) -> None:
+        """Run until SIGTERM/SIGINT, then drain and return."""
+        await self.start(host, port)
+        await self.serve_until_stopped()
+
+    async def serve_until_stopped(self) -> None:
+        """After ``start``: install signal handlers, block until a
+        shutdown is requested, then drain and return."""
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self._stop_requested.set)
+            except (NotImplementedError, RuntimeError):
+                pass  # non-Unix loop or non-main thread: rely on stop()
+        await self._stop_requested.wait()
+        await self.stop()
+
+    def request_shutdown(self) -> None:
+        """Ask ``serve_until_stopped`` to drain and exit (signal-safe path
+        is the installed handler; this is the programmatic one)."""
+        if self._stop_requested is not None:
+            self._stop_requested.set()
+
+    async def _close_listener(self) -> None:
+        """After a drain: let the last responses flush through their
+        connection tasks, stop accepting, and hang up on every client."""
+        await asyncio.sleep(0.05)
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        for writer in list(self._writers):
+            writer.close()
+
+    async def _handle_conn(self, reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> None:
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    msg = await read_message(reader)
+                except FrameError as exc:
+                    # Protocol violation: tell the peer what went wrong
+                    # with one structured error frame (it cannot carry a
+                    # request id — the request never parsed), then drop
+                    # the possibly-desynced connection.
+                    try:
+                        await write_message(writer, error_body(
+                            None, E_BAD_REQUEST, f"unreadable frame: {exc}"))
+                    except (ConnectionError, OSError):
+                        pass
+                    break
+                if msg is None:
+                    break
+                response = await self._handle_request(msg)
+                try:
+                    await write_message(writer, response)
+                except (ConnectionError, FrameError):
+                    break
+        except asyncio.CancelledError:
+            pass  # loop teardown cancelling idle readers: end quietly
+        finally:
+            self._writers.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
 
 
 # -- blocking side (sync client, no asyncio dependency) ---------------------
@@ -338,26 +424,10 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(chunks)
 
 
-def recv_message_sync(sock: socket.socket) -> Tuple[dict, bool]:
-    (word,) = struct.unpack(">I", _recv_exact(sock, 4))
-    binary = bool(word & BINARY_BIT)
-    length = word & ~BINARY_BIT
-    if length > MAX_FRAME:
-        raise FrameError(f"frame too large ({length} bytes)")
-    body = _recv_exact(sock, length)
-    if binary:
-        return decode_binary_body(body), True
-    return decode_body(body), False
+def recv_message_sync(sock: socket.socket) -> dict:
+    word = _recv_exact(sock, 4)
+    return _decode_frame(word, _recv_exact(sock, _body_length(word)))
 
 
-def recv_frame_sync(sock: socket.socket) -> dict:
-    return recv_message_sync(sock)[0]
-
-
-def send_message_sync(sock: socket.socket, obj: dict,
-                      binary: bool = False) -> None:
-    sock.sendall(encode_message(obj, binary))
-
-
-def send_frame_sync(sock: socket.socket, obj: dict) -> None:
-    send_message_sync(sock, obj)
+def send_message_sync(sock: socket.socket, obj: dict) -> None:
+    sock.sendall(encode_message(obj))

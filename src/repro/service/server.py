@@ -24,10 +24,12 @@ carry a ``deadline`` (seconds of client budget remaining); the server
 clamps its own timeout to it, so work the client has already given up on
 is cut off rather than computed into the void.
 
-``serve_forever`` installs SIGTERM/SIGINT handlers that begin a *drain*:
-in-flight requests finish, new work (and clients that connect mid-drain)
-get a structured, retryable ``shutting_down`` error frame — never a
-silent connection reset — and only then does the listener close.
+``serve_until_stopped`` (shared with the fleet dispatcher through
+:class:`~repro.service.protocol.FrameServer`) installs SIGTERM/SIGINT
+handlers that begin a *drain*: in-flight requests finish, new work (and
+clients that connect mid-drain) get a structured, retryable
+``shutting_down`` error frame — never a silent connection reset — and
+only then does the listener close.
 
 Resilience: the registry is integrity-scanned (quarantine + repair)
 before the first byte is served, and ``run_compressed`` runs behind a
@@ -41,7 +43,6 @@ are surfaced by the ``stats`` method.
 from __future__ import annotations
 
 import asyncio
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,9 +79,12 @@ from ..storage import (
 from . import protocol
 from .breaker import CircuitBreaker
 from .metrics import ServiceMetrics, scan_summary
-from .protocol import FrameError, ServiceError, b64d
+from .protocol import FrameError, FrameServer, ServiceError, b64d
 
 __all__ = ["CompressionService", "ServiceError"]
+
+#: most compression jobs one micro-batch takes off a grammar's queue
+_MAX_BATCH = 64
 
 
 class _Job:
@@ -119,7 +123,7 @@ class _GrammarWorker:
                 # tiny next to compression time but long next to frame
                 # parsing, so concurrent clients land in one batch.
                 await asyncio.sleep(svc.batch_window)
-            while len(batch) < svc.max_batch:
+            while len(batch) < _MAX_BATCH:
                 try:
                     batch.append(self.queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -179,7 +183,7 @@ class _GrammarWorker:
         return out
 
 
-class CompressionService:
+class CompressionService(FrameServer):
     """See module docstring.
 
     ``high_water`` bounds accepted-but-unfinished work requests (the
@@ -194,19 +198,18 @@ class CompressionService:
                  high_water: int = 64,
                  request_timeout: float = 30.0,
                  batch_window: float = 0.002,
-                 max_batch: int = 64,
                  cache_size: int = 4096,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  integrity_scan: bool = True,
                  exec_budget: int = 0,
                  native_watchdog: float = 10.0) -> None:
+        super().__init__()
         self.registry = registry
         self.max_inflight = max_inflight
         self.high_water = high_water
         self.request_timeout = request_timeout
         self.batch_window = batch_window
-        self.max_batch = max_batch
         self.cache_size = cache_size
         self.integrity_scan = integrity_scan
         self.exec_budget = int(exec_budget or 0)
@@ -223,17 +226,9 @@ class CompressionService:
         self._worker_lock: Optional[asyncio.Lock] = None
         self._inflight: Optional[asyncio.Semaphore] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stop_requested: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._writers: set = set()
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful after binding port 0)."""
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = protocol.DEFAULT_PORT, *,
@@ -246,42 +241,12 @@ class CompressionService:
             self.startup_report = self.registry.startup_scan()
         self._inflight = asyncio.Semaphore(self.max_inflight)
         self._worker_lock = asyncio.Lock()
-        self._stop_requested = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight,
             thread_name_prefix="repro-service")
-        if unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=unix_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host, port)
-
-    async def serve_forever(self, host: str = "127.0.0.1",
-                            port: int = protocol.DEFAULT_PORT) -> None:
-        """Run until SIGTERM/SIGINT, then drain and return."""
-        await self.start(host, port)
-        await self.serve_until_stopped()
-
-    async def serve_until_stopped(self) -> None:
-        """After :meth:`start`: install signal handlers, block until a
-        shutdown is requested, then drain and return."""
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._stop_requested.set)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-Unix loop or non-main thread: rely on stop()
-        await self._stop_requested.wait()
-        await self.stop()
-
-    def request_shutdown(self) -> None:
-        """Ask ``serve_forever`` to drain and exit (signal-safe path is
-        the installed handler; this is the programmatic one)."""
-        if self._stop_requested is not None:
-            self._stop_requested.set()
+        await self._listen(host, port, unix_path)
 
     async def stop(self, grace: float = 30.0) -> None:
         """Drain in-flight requests, then stop accepting and tear down.
@@ -296,14 +261,7 @@ class CompressionService:
             await asyncio.wait_for(self._idle.wait(), grace)
         except asyncio.TimeoutError:
             pass  # grace expired: abandon stragglers
-        # let drained responses flush through their connection tasks
-        # before tearing anything down, then hang up on idle clients
-        await asyncio.sleep(0.05)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
+        await self._close_listener()
         for worker in self._workers.values():
             worker.task.cancel()
         if self._workers:
@@ -317,47 +275,7 @@ class CompressionService:
             self._sandbox.close()
             self._sandbox = None
 
-    # -- connection handling ------------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    item = await protocol.read_message(reader)
-                except FrameError as exc:
-                    # Protocol violation: tell the peer what went wrong
-                    # with one structured error frame (it cannot carry a
-                    # request id — the request never parsed), then drop
-                    # the possibly-desynced connection.
-                    try:
-                        await protocol.write_message(
-                            writer, protocol.error_body(
-                                None, protocol.E_BAD_REQUEST,
-                                f"unreadable frame: {exc}"))
-                    except (ConnectionError, OSError):
-                        pass
-                    break
-                if item is None:
-                    break
-                msg, binary = item
-                response = await self._handle_request(msg)
-                try:
-                    # answer in the framing the request arrived in
-                    await protocol.write_message(writer, response,
-                                                 binary=binary)
-                except (ConnectionError, FrameError):
-                    break
-        except asyncio.CancelledError:
-            pass  # loop teardown cancelling idle readers: end quietly
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    # -- requests -----------------------------------------------------------
 
     async def _handle_request(self, msg: dict) -> dict:
         req_id = msg.get("id")
@@ -441,7 +359,9 @@ class CompressionService:
     def _data_param(params: dict, key: str = "data") -> bytes:
         value = params.get(key)
         if isinstance(value, (bytes, bytearray, memoryview)):
-            return bytes(value)  # binary frame: the payload arrived raw
+            return bytes(value)  # the frame's payload: arrived raw
+        # a secondary bytes field (run_compressed's ``input``) rides
+        # base64-encoded in the frame header
         if not isinstance(value, str):
             raise ServiceError(protocol.E_BAD_REQUEST,
                                f"missing binary param {key!r}")

@@ -24,9 +24,8 @@ bytecode validator, so a corrupted file fails loudly rather than
 misexecuting.
 
 Writers append a CRC-32 trailer (4 bytes, little-endian, over magic +
-body) so bit rot is detected before the structural validators run.
-Loaders accept trailer-less files — everything written before the
-trailer existed still loads.  RCX2 additionally embeds a CRC-32 of the
+body) so bit rot is detected before the structural validators run, and
+loaders require it.  RCX2 additionally embeds a CRC-32 of the
 *decoded* RCX1 payload inside the (trailer-protected) header, so even a
 coded stream that decodes without a structural error cannot silently
 deliver wrong bytes.
@@ -86,16 +85,16 @@ def _seal(w: "_Writer") -> bytes:
 
 
 def _finish(r: "_Reader", full: bytes) -> None:
-    """End-of-body check: verify the CRC-32 trailer if present.
+    """End-of-body check: verify the CRC-32 trailer.
 
     ``full`` is the whole file including magic; ``r`` holds the body with
-    the magic stripped.  Exactly 4 bytes after the body is a trailer
-    (verified, mismatch is a loud :class:`StorageError`); zero bytes is a
-    legacy trailer-less file; anything else is trailing garbage.
+    the magic stripped.  Exactly 4 bytes must follow the body: the
+    trailer (a mismatch is a loud :class:`StorageError`).  Fewer is a
+    missing trailer; more is trailing garbage.
     """
     remaining = len(r.data) - r.pos
-    if remaining == 0:
-        return  # pre-CRC file: accepted unchanged
+    if remaining < 4:
+        raise StorageError("missing CRC-32 trailer (truncated file)")
     if remaining == 4:
         (stored,) = struct.unpack("<I", r.data[r.pos:r.pos + 4])
         if stored != zlib.crc32(full[:-4]):
@@ -348,10 +347,9 @@ def load_compressed(data: bytes) -> CompressedModule:
 
 
 def _load_compressed2(data: bytes) -> CompressedModule:
-    # RCX2 has no legacy window: the CRC-32 trailer is mandatory, and it
-    # is verified before any field is parsed — bit rot anywhere in the
-    # file fails loudly here instead of surfacing as a deep parse error
-    # from the grammar or model decoders.
+    # The CRC-32 trailer is verified before any field is parsed — bit
+    # rot anywhere in the file fails loudly here instead of surfacing as
+    # a deep parse error from the grammar or model decoders.
     if len(data) < 9:
         raise ContainerError("truncated RCX2 file")
     (stored,) = struct.unpack("<I", data[-4:])
@@ -522,9 +520,10 @@ def load_grammar(data: bytes) -> Grammar:
                 from .grammar.cfg import fragment_hole_count
                 if fragment_hole_count(fragment) != rule.arity:
                     raise StorageError("fragment does not match rule arity")
-    # Optional model section (legacy files end here, with 0 or 4 bytes
-    # left for the CRC trailer; a section is at least 5).
-    if len(r.data) - r.pos not in (0, 4):
+    # Optional model section (grammars trained before models existed
+    # end here, with only the 4-byte CRC trailer left; a section is at
+    # least 5).
+    if len(r.data) - r.pos > 4:
         if r.u8() != 1:
             raise StorageError("bad model-section flag")
         mblob = r.blob()

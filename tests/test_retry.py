@@ -1,12 +1,11 @@
 """Client retry semantics: backoff jitter, exhaustion, deadlines.
 
-These tests run the clients against a *scripted* server — a thread that
+These tests run the client against a *scripted* server — a thread that
 speaks the real wire protocol but answers each request from a fixed list
 of directives — so every failure mode is exact and every assertion about
 attempt counts is deterministic.
 """
 
-import asyncio
 import random
 import socket
 import threading
@@ -15,7 +14,7 @@ import time
 import pytest
 
 from repro.service import protocol
-from repro.service.client import AsyncServiceClient, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.protocol import ServiceError
 from repro.service.retry import TRANSPORT, RetryPolicy
 
@@ -58,7 +57,7 @@ class _ScriptServer:
     def _serve_conn(self, conn):
         while self.script:
             try:
-                msg = protocol.recv_frame_sync(conn)
+                msg = protocol.recv_message_sync(conn)
             except (OSError, protocol.FrameError):
                 return
             self.requests.append(msg)
@@ -70,7 +69,7 @@ class _ScriptServer:
             else:
                 body = protocol.error_body(msg["id"], action,
                                            f"scripted {action}")
-            protocol.send_frame_sync(conn, body)
+            protocol.send_message_sync(conn, body)
 
     def close(self):
         """Stop serving.  Shutting the listener and the live connection
@@ -100,10 +99,6 @@ class _ScriptServer:
 
 
 FAST = dict(base=0.001, cap=0.004)  # real sleeps, negligible wall time
-
-
-def _async(coro):
-    return asyncio.run(coro)
 
 
 # -- RetryPolicy unit --------------------------------------------------------
@@ -247,72 +242,6 @@ def test_exhausted_deadline_fails_before_sending():
         assert server.requests == []
 
 
-# -- async client ------------------------------------------------------------
-
-def test_async_retry_to_success():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(4, **FAST)) as c:
-            return await c.call("ping")
-
-    with _ScriptServer(["overloaded", "overloaded", "ok"]) as server:
-        assert _async(scenario(server.port)) == {"pong": True}
-        assert len(server.requests) == 3
-
-
-def test_async_exhaustion_raises_last_error():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(2, **FAST)) as c:
-            await c.call("ping")
-
-    with _ScriptServer(["overloaded", "timeout", "ok"]) as server:
-        with pytest.raises(ServiceError) as exc:
-            _async(scenario(server.port))
-        assert exc.value.code == "timeout"
-        assert len(server.requests) == 2
-
-
-def test_async_non_retryable_not_retried():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(5, **FAST)) as c:
-            await c.call("ping")
-
-    with _ScriptServer(["not_found", "ok"]) as server:
-        with pytest.raises(ServiceError) as exc:
-            _async(scenario(server.port))
-        assert exc.value.code == "not_found"
-        assert len(server.requests) == 1
-
-
-def test_async_reconnects_after_drop():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(3, **FAST)) as c:
-            return await c.call("ping")
-
-    with _ScriptServer(["drop", "ok"]) as server:
-        assert _async(scenario(server.port)) == {"pong": True}
-        assert server.connections == 2
-
-
-def test_async_deadline_cuts_retries_short():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port,
-                retry=RetryPolicy(50, base=0.1, cap=0.5)) as c:
-            await c.call("ping", deadline=0.3)
-
-    with _ScriptServer(["overloaded"] * 50) as server:
-        start = time.monotonic()
-        with pytest.raises(ServiceError) as exc:
-            _async(scenario(server.port))
-        assert exc.value.code == "overloaded"
-        assert time.monotonic() - start < 2.0
-        assert len(server.requests) < 50
-
-
 # -- worker_lost reconnect storms and poison verdicts -------------------------
 #
 # A fleet losing workers answers ``worker_lost`` repeatedly while the
@@ -387,27 +316,3 @@ def test_poison_after_worker_lost_storm_stops_retrying():
         assert exc.value.code == "poison_input"
         assert len(server.requests) == 3
         assert server.script == ["ok"]
-
-
-def test_async_worker_lost_storm_retried_to_success():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(6, **FAST)) as c:
-            return await c.call("ping")
-
-    with _ScriptServer(["worker_lost"] * 3 + ["ok"]) as server:
-        assert _async(scenario(server.port)) == {"pong": True}
-        assert len(server.requests) == 4
-
-
-def test_async_poison_input_exhausts_immediately():
-    async def scenario(port):
-        async with AsyncServiceClient(
-                "127.0.0.1", port, retry=RetryPolicy(8, **FAST)) as c:
-            await c.call("ping")
-
-    with _ScriptServer(["poison_input", "ok"]) as server:
-        with pytest.raises(ServiceError) as exc:
-            _async(scenario(server.port))
-        assert exc.value.code == "poison_input"
-        assert len(server.requests) == 1

@@ -7,6 +7,7 @@ external client would.
 """
 
 import asyncio
+import json
 import socket
 import struct
 import threading
@@ -278,8 +279,9 @@ def test_malformed_frames_drop_connection(harness):
     # not JSON at all: a structured error frame comes back, then EOF
     with socket.create_connection(("127.0.0.1", harness.port),
                                   timeout=5) as sock:
-        sock.sendall(struct.pack(">I", 7) + b"garbage")
-        msg, _ = protocol.recv_message_sync(sock)
+        sock.sendall(struct.pack(">I", protocol.BINARY_BIT | 7)
+                     + b"garbage")
+        msg = protocol.recv_message_sync(sock)
         assert msg["ok"] is False
         assert msg["id"] is None
         assert msg["error"]["code"] == "bad_request"
@@ -288,18 +290,35 @@ def test_malformed_frames_drop_connection(harness):
     with socket.create_connection(("127.0.0.1", harness.port),
                                   timeout=5) as sock:
         sock.sendall(struct.pack(">I", protocol.MAX_FRAME + 1))
-        msg, _ = protocol.recv_message_sync(sock)
+        msg = protocol.recv_message_sync(sock)
         assert msg["ok"] is False
         assert msg["error"]["code"] == "bad_request"
         assert sock.recv(1) == b""
 
 
+def test_json_frame_is_unreadable(harness):
+    """A well-formed JSON frame (length word high bit clear) is not a
+    request: one structured bad_request frame, then the server hangs
+    up."""
+    body = json.dumps({"id": 1, "method": "health",
+                       "params": {}}).encode("utf-8")
+    with socket.create_connection(("127.0.0.1", harness.port),
+                                  timeout=5) as sock:
+        sock.sendall(struct.pack(">I", len(body)) + body)
+        msg = protocol.recv_message_sync(sock)
+        assert msg["ok"] is False
+        assert msg["id"] is None
+        assert msg["error"]["code"] == "bad_request"
+        assert sock.recv(1) == b""  # server hung up
+
+
 def test_protocol_frame_roundtrip():
-    frame = protocol.encode_frame({"id": 1, "method": "health",
-                                   "params": {}})
+    frame = protocol.encode_message({"id": 1, "method": "health",
+                                     "params": {}})
     (length,) = struct.unpack(">I", frame[:4])
-    assert length == len(frame) - 4
-    assert protocol.decode_body(frame[4:])["method"] == "health"
+    assert length == protocol.BINARY_BIT | (len(frame) - 4)
+    (hlen,) = struct.unpack(">I", frame[4:8])
+    assert protocol.decode_body(frame[8:8 + hlen])["method"] == "health"
     with pytest.raises(protocol.FrameError):
         protocol.decode_body(b"[1, 2]")  # not an object
     with pytest.raises(protocol.FrameError):
@@ -314,7 +333,7 @@ def test_binary_frame_roundtrip_large_payload():
     payload = bytes(range(256)) * (4 << 12)  # 4 MiB, all byte values
     msg = {"id": 7, "method": "compress",
            "params": {"module": payload, "grammar": "prod"}}
-    frame = protocol.encode_message(msg, binary=True)
+    frame = protocol.encode_message(msg)
     (word,) = struct.unpack(">I", frame[:4])
     assert word & protocol.BINARY_BIT
     assert len(frame) - 4 == word & ~protocol.BINARY_BIT
@@ -329,7 +348,7 @@ def test_binary_frame_roundtrip_large_payload():
 
 def test_binary_frame_zero_length_payload():
     msg = {"id": 1, "ok": True, "result": {"data": b"", "n": 3}}
-    frame = protocol.encode_message(msg, binary=True)
+    frame = protocol.encode_message(msg)
     back = protocol.decode_binary_body(frame[4:])
     assert back["result"]["data"] == b""
     assert back["result"]["n"] == 3
@@ -339,7 +358,7 @@ def test_binary_frame_no_bytes_at_all():
     """Envelopes without bulk fields still work in binary mode."""
     msg = {"id": 2, "method": "health", "params": {}}
     back = protocol.decode_binary_body(
-        protocol.encode_message(msg, binary=True)[4:])
+        protocol.encode_message(msg)[4:])
     assert back == msg
 
 
@@ -349,27 +368,15 @@ def test_binary_frame_picks_largest_field_as_payload():
     msg = {"id": 3, "method": "run_compressed",
            "params": {"module": b"M" * 1000, "input": b"tiny"}}
     back = protocol.decode_binary_body(
-        protocol.encode_message(msg, binary=True)[4:])
+        protocol.encode_message(msg)[4:])
     assert back["params"]["module"] == b"M" * 1000  # raw payload
     assert protocol.b64d(back["params"]["input"]) == b"tiny"
-
-
-def test_json_mode_encode_message_matches_legacy_frames():
-    """encode_message(binary=False) is byte-for-byte the legacy frame:
-    bytes values become base64 strings in a plain JSON frame."""
-    data = b"\x00\x01\xffpayload"
-    new = protocol.encode_message(
-        {"id": 4, "method": "decompress", "params": {"module": data}})
-    old = protocol.encode_frame(
-        {"id": 4, "method": "decompress",
-         "params": {"module": protocol.b64e(data)}})
-    assert new == old
 
 
 def test_binary_frame_length_mismatch_is_frame_error():
     # header length word larger than the body that follows
     good = protocol.encode_message(
-        {"id": 5, "params": {"data": b"xyz"}}, binary=True)[4:]
+        {"id": 5, "params": {"data": b"xyz"}})[4:]
     (hlen,) = struct.unpack(">I", good[:4])
     bad = struct.pack(">I", hlen + 1000) + good[4:]
     with pytest.raises(protocol.FrameError):
@@ -378,7 +385,7 @@ def test_binary_frame_length_mismatch_is_frame_error():
     with pytest.raises(protocol.FrameError):
         protocol.decode_binary_body(b"\x00")
     # payload bytes present but nothing binds them
-    naked = protocol.encode_frame({"id": 6})[4:]
+    naked = protocol.encode_message({"id": 6})[8:]  # the header alone
     with pytest.raises(protocol.FrameError):
         protocol.decode_binary_body(
             struct.pack(">I", len(naked)) + naked + b"orphan")
@@ -388,55 +395,17 @@ def test_binary_length_mismatch_gets_structured_error(harness):
     """A corrupt binary frame over a real socket comes back as a
     structured bad_request error frame, then the server hangs up."""
     good = protocol.encode_message(
-        {"id": 9, "method": "health", "params": {"blob": b"abcdef"}},
-        binary=True)
+        {"id": 9, "method": "health", "params": {"blob": b"abcdef"}})
     # corrupt the inner header-length word, keep the outer length valid
     bad = bytearray(good)
     struct.pack_into(">I", bad, 4, 0x00FFFFFF)
     with socket.create_connection(("127.0.0.1", harness.port),
                                   timeout=5) as sock:
         sock.sendall(bytes(bad))
-        msg, _ = protocol.recv_message_sync(sock)
+        msg = protocol.recv_message_sync(sock)
         assert msg["ok"] is False and msg["id"] is None
         assert msg["error"]["code"] == "bad_request"
         assert sock.recv(1) == b""
-
-
-def test_legacy_json_client_against_new_server(harness, artifacts):
-    """binary=False speaks exactly the old wire format and still gets
-    full service: compatibility mode for old clients."""
-    with harness.client(binary=False) as legacy, \
-            harness.client(binary=True) as modern:
-        legacy.put_grammar(artifacts["grammar_bytes"], tags=["prod"])
-        via_legacy = legacy.compress(artifacts["app_bytes"], "prod")
-        via_modern = modern.compress(artifacts["app_bytes"], "prod")
-        assert via_legacy == via_modern  # same answer on either framing
-        assert legacy.decompress(via_modern) == artifacts["app_bytes"]
-        assert modern.decompress(via_legacy) == artifacts["app_bytes"]
-
-
-def test_server_replies_in_request_framing(harness, artifacts):
-    """The server answers each request in the framing it arrived in —
-    negotiation is per frame, not per connection."""
-    with harness.client() as admin:
-        admin.put_grammar(artifacts["grammar_bytes"], tags=["prod"])
-    with socket.create_connection(("127.0.0.1", harness.port),
-                                  timeout=10) as sock:
-        # JSON request -> JSON reply
-        protocol.send_message_sync(
-            sock, {"id": 1, "method": "grammar.get",
-                   "params": {"ref": "prod"}}, binary=False)
-        msg, was_binary = protocol.recv_message_sync(sock)
-        assert not was_binary
-        assert protocol.b64d(msg["result"]["data"]) \
-            == artifacts["grammar_bytes"]
-        # binary request on the same connection -> binary reply
-        protocol.send_message_sync(
-            sock, {"id": 2, "method": "grammar.get",
-                   "params": {"ref": "prod"}}, binary=True)
-        msg, was_binary = protocol.recv_message_sync(sock)
-        assert was_binary
-        assert msg["result"]["data"] == artifacts["grammar_bytes"]
 
 
 # -- entropy-coded containers over the wire -----------------------------------

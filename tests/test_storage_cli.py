@@ -121,20 +121,14 @@ def test_crc_catches_silent_data_corruption(setup):
         load_module(bytes(data))
 
 
-def test_legacy_files_without_trailer_still_load(setup):
+def test_files_without_trailer_are_rejected(setup):
     app, _, grammar, cmod = setup
-    from repro.storage import load_compressed as lc, load_grammar as lg
-    from repro.storage import save_compressed as sc, save_grammar as sg
-    # what a pre-CRC writer produced: the same bytes minus the trailer
-    old_module = save_module(app)[:-4]
-    back = load_module(old_module)
-    assert [p.code for p in back.procedures] == \
-        [p.code for p in app.procedures]
-    old_cmod = sc(cmod)[:-4]
-    assert [p.code for p in lc(old_cmod).procedures] == \
-        [p.code for p in cmod.procedures]
-    old_grammar = sg(grammar)[:-4]
-    assert lg(old_grammar).total_rules() == grammar.total_rules()
+    # the same bytes minus the trailer, in each trailer-sealed format
+    for blob, load in ((save_module(app), load_module),
+                       (save_compressed(cmod), load_compressed),
+                       (save_grammar(grammar), load_grammar)):
+        with pytest.raises(StorageError, match="trailer"):
+            load(blob[:-4])
 
 
 # -- grammar format -------------------------------------------------------------
