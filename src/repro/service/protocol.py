@@ -342,12 +342,6 @@ class FrameServer:
             self._server = await asyncio.start_server(
                 self._handle_conn, host, port)
 
-    async def serve_forever(self, host: str = "127.0.0.1",
-                            port: int = DEFAULT_PORT) -> None:
-        """Run until SIGTERM/SIGINT, then drain and return."""
-        await self.start(host, port)
-        await self.serve_until_stopped()
-
     async def serve_until_stopped(self) -> None:
         """After ``start``: install signal handlers, block until a
         shutdown is requested, then drain and return."""

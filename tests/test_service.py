@@ -276,40 +276,29 @@ def test_error_frames(harness, artifacts):
 
 
 def test_malformed_frames_drop_connection(harness):
-    # not JSON at all: a structured error frame comes back, then EOF
-    with socket.create_connection(("127.0.0.1", harness.port),
-                                  timeout=5) as sock:
-        sock.sendall(struct.pack(">I", protocol.BINARY_BIT | 7)
-                     + b"garbage")
-        msg = protocol.recv_message_sync(sock)
-        assert msg["ok"] is False
-        assert msg["id"] is None
-        assert msg["error"]["code"] == "bad_request"
-        assert sock.recv(1) == b""  # server hung up
-    # oversized length prefix: rejected without allocating, then EOF
-    with socket.create_connection(("127.0.0.1", harness.port),
-                                  timeout=5) as sock:
-        sock.sendall(struct.pack(">I", protocol.MAX_FRAME + 1))
-        msg = protocol.recv_message_sync(sock)
-        assert msg["ok"] is False
-        assert msg["error"]["code"] == "bad_request"
-        assert sock.recv(1) == b""
-
-
-def test_json_frame_is_unreadable(harness):
-    """A well-formed JSON frame (length word high bit clear) is not a
-    request: one structured bad_request frame, then the server hangs
-    up."""
-    body = json.dumps({"id": 1, "method": "health",
-                       "params": {}}).encode("utf-8")
-    with socket.create_connection(("127.0.0.1", harness.port),
-                                  timeout=5) as sock:
-        sock.sendall(struct.pack(">I", len(body)) + body)
-        msg = protocol.recv_message_sync(sock)
-        assert msg["ok"] is False
-        assert msg["id"] is None
-        assert msg["error"]["code"] == "bad_request"
-        assert sock.recv(1) == b""  # server hung up
+    health = json.dumps({"id": 1, "method": "health",
+                         "params": {}}).encode("utf-8")
+    frames = [
+        # binary frame whose header is not JSON at all
+        (struct.pack(">II", protocol.BINARY_BIT | 11, 7) + b"garbage",
+         "invalid JSON"),
+        # oversized length prefix: rejected without allocating
+        (struct.pack(">I", protocol.MAX_FRAME + 1), "too large"),
+        # a well-formed JSON frame (length word high bit clear) is no
+        # request
+        (struct.pack(">I", len(health)) + health, "binary-frame bit"),
+    ]
+    for frame, reason in frames:
+        # one structured error frame comes back, then EOF
+        with socket.create_connection(("127.0.0.1", harness.port),
+                                      timeout=5) as sock:
+            sock.sendall(frame)
+            msg = protocol.recv_message_sync(sock)
+            assert msg["ok"] is False
+            assert msg["id"] is None
+            assert msg["error"]["code"] == "bad_request"
+            assert reason in msg["error"]["message"]
+            assert sock.recv(1) == b""  # server hung up
 
 
 def test_protocol_frame_roundtrip():
