@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Trainer-matrix smoke test: every trainer strategy through the real CLI
-# — train, store with provenance, and read the trainer identity back via
-# `repro registry show` and `repro grammar stats`.  Run from the
+# Trainer-matrix smoke test: both trainers (greedy, hybrid) through the
+# real CLI — train, store with provenance, and read the trainer identity
+# back via `repro registry show` and `repro grammar stats`.  Run from the
 # repository root (CI does); needs only PYTHONPATH=src.
 set -euo pipefail
 

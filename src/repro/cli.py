@@ -59,6 +59,7 @@ from .storage import (
     save_grammar,
     save_module,
 )
+from .training import TRAINERS
 
 __all__ = ["main"]
 
@@ -101,8 +102,6 @@ def _cmd_train(args) -> int:
         corpus,
         max_rules_per_nt=args.cap,
         min_count=args.min_count,
-        parser_workers=args.workers,
-        index_mode="naive" if args.naive_index else "incremental",
         collect_stats=args.stats,
         strategy=args.trainer,
     )
@@ -132,8 +131,7 @@ def _cmd_compress(args) -> int:
 
     module = _load_file(load_module, args.module)
     grammar = _load_file(load_grammar, args.grammar)
-    compressor = Compressor(grammar,
-                            cache_size=0 if args.no_cache else 4096)
+    compressor = Compressor(grammar)
     cmod = compressor.compress_module(module)
     try:
         payload = save_compressed(cmod, format=args.format)
@@ -495,21 +493,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rules per nonterminal (default 256)")
     p.add_argument("--min-count", type=int, default=2,
                    help="minimum pair frequency to inline (default 2)")
-    p.add_argument("-j", "--workers", type=int, default=None,
-                   help="parse the corpus on N parallel workers "
-                        "(deterministic: same grammar for any N)")
-    p.add_argument("--trainer", choices=("greedy", "hybrid"),
-                   default="greedy",
-                   help="trainer strategy: the paper's greedy "
-                        "edge-contraction loop (default), or MR-RePair "
-                        "maximal-repeat seeding followed by greedy "
-                        "refinement")
+    p.add_argument("--trainer", choices=TRAINERS, default="greedy",
+                   help="the paper's greedy edge-contraction loop "
+                        "(default), or MR-RePair maximal-repeat seeding "
+                        "followed by greedy refinement")
     p.add_argument("--stats", action="store_true",
                    help="print per-phase (parse/seed/refine) timings "
                         "and edge-index behaviour")
-    p.add_argument("--naive-index", action="store_true",
-                   help="use the full-recount edge index (the slow "
-                        "oracle; same grammar, for verification)")
     p.add_argument("--registry", default=None, metavar="DIR",
                    help="also store the grammar (with trainer "
                         "provenance) in this registry and print its "
@@ -523,8 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("-g", "--grammar", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the shortest-derivation block cache")
     p.add_argument("--format", choices=("rcx1", "rcx2"), default="rcx1",
                    help="container format: rcx1 stores one codeword "
                         "byte per derivation step (directly "

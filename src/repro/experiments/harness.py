@@ -27,6 +27,7 @@ from ..grammar.serialize import grammar_bytes
 from ..interp.sizes import InterpreterSizes, measure_sizes
 from ..native.x86 import module_native_size
 from ..parsing.stackparser import build_forest
+from ..training import TRAINERS
 from ..training.expander import (
     TrainingReport,
     TrainingStats,
@@ -286,7 +287,6 @@ class TrainingSpeedRow:
 
 def training_stats(train_on: Tuple[str, ...], *,
                    scale: int = GCCLIKE_SCALE,
-                   parser_workers: Optional[int] = None,
                    index_mode: str = "incremental",
                    ) -> Tuple[Grammar, TrainingStats]:
     """Train one configuration with full instrumentation (uncached: stats
@@ -294,8 +294,8 @@ def training_stats(train_on: Tuple[str, ...], *,
     from ..pipeline import train_grammar
 
     modules = [corpus(scale)[name] for name in train_on]
-    return train_grammar(modules, parser_workers=parser_workers,
-                         index_mode=index_mode, collect_stats=True)
+    return train_grammar(modules, index_mode=index_mode,
+                         collect_stats=True)
 
 
 def training_speed_rows(sizes: Tuple[int, ...] = (18, 54, 120),
@@ -339,7 +339,7 @@ def training_speed_rows(sizes: Tuple[int, ...] = (18, 54, 120),
     return rows
 
 
-# -- S4: trainer-strategy comparison (greedy vs hybrid) -----------------------
+# -- S4: trainer comparison (greedy vs hybrid) --------------------------------
 
 @dataclass
 class TrainerCompareRow:
@@ -355,12 +355,12 @@ class TrainerCompareRow:
 
 def trainer_compare_rows(train_on: Tuple[str, ...] = ("gcc",), *,
                          scale: int = GCCLIKE_SCALE,
-                         strategies: Tuple[str, ...] = ("greedy", "hybrid"),
+                         strategies: Tuple[str, ...] = TRAINERS,
                          ) -> List[TrainerCompareRow]:
-    """Train each strategy on the same corpus and compress every input.
+    """Train each trainer on the same corpus and compress every input.
 
     Uncached on purpose: the wall-time columns gate the hybrid
-    strategy's <= 1.5x-of-greedy budget, and timings should be fresh.
+    trainer's <= 1.5x-of-greedy budget, and timings should be fresh.
     """
     from ..pipeline import train_grammar
 

@@ -13,7 +13,7 @@ left-recursive ``<start>`` chain) would overflow Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..grammar.cfg import Grammar, is_nonterminal
 
@@ -99,12 +99,6 @@ class Forest:
 
     def add(self, root: Node) -> None:
         self.blocks.append(root)
-
-    def extend(self, roots: Iterable[Node]) -> None:
-        """Append a batch of block trees in order (the parallel parser's
-        merge primitive: per-procedure results arrive as batches, and
-        corpus order = concatenation order)."""
-        self.blocks.extend(roots)
 
     def __len__(self) -> int:
         return len(self.blocks)

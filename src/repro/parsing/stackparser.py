@@ -298,51 +298,13 @@ def parse_module(grammar: Grammar, module: Module) -> List[List[ParsedBlock]]:
     return [parse_blocks(grammar, p.code) for p in module.procedures]
 
 
-def build_forest(grammar: Grammar, modules,
-                 workers: Optional[int] = None) -> Forest:
-    """Parse a training corpus (iterable of modules) into one forest.
-
-    With ``workers`` > 1, procedures are parsed concurrently on a
-    ``concurrent.futures`` thread pool, fanned out one task per procedure.
-    The forest is merged in *corpus order* — module by module, procedure by
-    procedure, block by block — regardless of task completion order, so the
-    result (and therefore everything trained from it) is identical for any
-    worker count; the boundary tests pin forests and trained grammars
-    across worker counts.  ``workers`` of ``None``, 0, or 1 uses the plain
-    serial loop; any pool failure also falls back to serial parsing.
-    """
-    modules = list(modules)
-    if workers is None or workers <= 1:
-        return _build_forest_serial(grammar, modules)
-    try:
-        return _build_forest_parallel(grammar, modules, workers)
-    except ParseError:
-        raise  # invalid bytecode fails identically in both modes
-    except Exception:  # pool setup/teardown failure: parse serially
-        return _build_forest_serial(grammar, modules)
-
-
-def _build_forest_serial(grammar: Grammar, modules) -> Forest:
+def build_forest(grammar: Grammar, modules) -> Forest:
+    """Parse a training corpus (iterable of modules) into one forest, in
+    corpus order: module by module, procedure by procedure, block by
+    block."""
     forest = Forest()
     for module in modules:
         for proc_blocks in parse_module(grammar, module):
             for block in proc_blocks:
                 forest.add(block.tree)
-    return forest
-
-
-def _build_forest_parallel(grammar: Grammar, modules,
-                           workers: int) -> Forest:
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Build the per-grammar plan tables once, up front: the pool's first
-    # tasks would otherwise race to construct them (harmless but wasteful).
-    _plans_for(grammar)
-    codes = [proc.code for module in modules for proc in module.procedures]
-    forest = Forest()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map() yields results in submission order: the deterministic merge.
-        for blocks in pool.map(lambda code: parse_blocks(grammar, code),
-                               codes):
-            forest.extend(block.tree for block in blocks)
     return forest

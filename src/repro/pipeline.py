@@ -32,7 +32,7 @@ from .interp.interp1 import Interpreter1
 from .interp.interp2 import Interpreter2
 from .interp.runtime import run_program
 from .parsing.stackparser import build_forest
-from .training import resolve_strategy
+from .training import Trainer
 from .training.expander import TrainingReport
 
 __all__ = [
@@ -47,48 +47,45 @@ def train_grammar(corpus: Iterable[Module], *,
                   min_count: int = 2,
                   remove_subsumed: bool = True,
                   max_iterations: Optional[int] = None,
-                  parser_workers: Optional[int] = None,
                   index_mode: str = "incremental",
                   collect_stats: bool = False,
-                  strategy="greedy",
+                  strategy: str = "greedy",
                   strategy_params: Optional[dict] = None,
                   ) -> Tuple[Grammar, TrainingReport]:
     """The training phase (paper Sections 2 and 4.1).
 
     Parses the corpus with the initial grammar and expands it with the
-    selected trainer strategy.  Returns the expanded grammar and a
-    :class:`TrainingReport` carrying the strategy's identity and knobs
+    selected trainer.  Returns the expanded grammar and a
+    :class:`TrainingReport` carrying the trainer's name and knobs
     (persisted as provenance by the registry).
 
-    ``strategy`` names a :class:`~repro.training.TrainerStrategy`
-    (``"greedy"`` — the paper's profiled edge-contraction loop,
-    ``"hybrid"`` — MR-RePair maximal-repeat seeding then greedy
-    refinement) or is a strategy class/instance; ``strategy_params``
-    are its constructor knobs (e.g. ``{"budget_frac": 0.25}`` for
-    ``hybrid``).
+    ``strategy`` names a :class:`~repro.training.Trainer` (``"greedy"``
+    — the paper's profiled edge-contraction loop, ``"hybrid"`` —
+    MR-RePair maximal-repeat seeding then greedy refinement);
+    ``strategy_params`` are its knobs (e.g. ``{"budget_frac": 0.25}``
+    for ``hybrid``).  A knob the trainer does not take raises
+    ``ValueError``.
 
-    ``parser_workers`` > 1 parses the corpus's procedures on a thread
-    pool with a deterministic, corpus-order merge — the trained grammar
-    is identical for every worker count.  ``index_mode="naive"`` swaps
-    the incremental edge index for the full-recount oracle (same result,
-    much slower; for verification and benchmarking).  ``collect_stats``
-    returns a :class:`~repro.training.expander.TrainingStats` with
-    per-phase (parse/seed/refine) timings, per-iteration wall times,
-    and heap behaviour.
+    ``index_mode="naive"`` swaps the incremental edge index for the
+    full-recount oracle (same result, much slower; for verification and
+    benchmarking).  ``collect_stats`` returns a
+    :class:`~repro.training.expander.TrainingStats` with per-phase
+    (parse/seed/refine) timings, per-iteration wall times, and heap
+    behaviour.
 
     The trained grammar also carries its rule-frequency model counts
     (``grammar.coding_counts``, recounted from the post-training
     forest) — the estimation side of the RCX2 entropy coder; they are
     persisted by ``save_grammar`` and the registry.
     """
-    strat = resolve_strategy(strategy, **(strategy_params or {}))
+    trainer = Trainer(strategy, **(strategy_params or {}))
     if grammar is None:
         grammar = initial_grammar(max_rules_per_nt=max_rules_per_nt)
     corpus = list(corpus)
     parse_start = time.perf_counter()
-    forest = build_forest(grammar, corpus, workers=parser_workers)
+    forest = build_forest(grammar, corpus)
     parse_seconds = time.perf_counter() - parse_start
-    report = strat.train(
+    report = trainer.train(
         grammar, forest,
         min_count=min_count,
         remove_subsumed=remove_subsumed,
@@ -100,7 +97,6 @@ def train_grammar(corpus: Iterable[Module], *,
     report.wall_seconds = time.perf_counter() - parse_start
     if collect_stats:
         report.parse_seconds = parse_seconds
-        report.parser_workers = parser_workers or 1
     return grammar, report
 
 

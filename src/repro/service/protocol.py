@@ -343,8 +343,8 @@ class FrameServer:
                 self._handle_conn, host, port)
 
     async def serve_until_stopped(self) -> None:
-        """After ``start``: install signal handlers, block until a
-        shutdown is requested, then drain and return."""
+        """After ``start``: install signal handlers, block until SIGTERM
+        or SIGINT arrives, then drain and return."""
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -353,12 +353,6 @@ class FrameServer:
                 pass  # non-Unix loop or non-main thread: rely on stop()
         await self._stop_requested.wait()
         await self.stop()
-
-    def request_shutdown(self) -> None:
-        """Ask ``serve_until_stopped`` to drain and exit (signal-safe path
-        is the installed handler; this is the programmatic one)."""
-        if self._stop_requested is not None:
-            self._stop_requested.set()
 
     async def _close_listener(self) -> None:
         """After a drain: let the last responses flush through their

@@ -85,6 +85,8 @@ __all__ = ["CompressionService", "ServiceError"]
 
 #: most compression jobs one micro-batch takes off a grammar's queue
 _MAX_BATCH = 64
+#: entries in each grammar's shared derivation cache
+_CACHE_SIZE = 4096
 
 
 class _Job:
@@ -189,8 +191,7 @@ class CompressionService(FrameServer):
     ``high_water`` bounds accepted-but-unfinished work requests (the
     overload trip wire); ``max_inflight`` caps concurrently executing
     batches and sizes the thread pool; ``batch_window`` is the
-    coalescing delay; ``cache_size`` sizes each grammar's shared
-    derivation cache.
+    coalescing delay.
     """
 
     def __init__(self, registry: GrammarRegistry, *,
@@ -198,7 +199,6 @@ class CompressionService(FrameServer):
                  high_water: int = 64,
                  request_timeout: float = 30.0,
                  batch_window: float = 0.002,
-                 cache_size: int = 4096,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 30.0,
                  integrity_scan: bool = True,
@@ -210,7 +210,6 @@ class CompressionService(FrameServer):
         self.high_water = high_water
         self.request_timeout = request_timeout
         self.batch_window = batch_window
-        self.cache_size = cache_size
         self.integrity_scan = integrity_scan
         self.exec_budget = int(exec_budget or 0)
         self.native_watchdog = float(native_watchdog)
@@ -408,8 +407,7 @@ class CompressionService(FrameServer):
                     self.registry.program, digest)
                 worker = _GrammarWorker(
                     self, digest,
-                    Compressor(program.grammar,
-                               cache_size=self.cache_size))
+                    Compressor(program.grammar, cache_size=_CACHE_SIZE))
                 self._workers[digest] = worker
             return worker
 
@@ -664,7 +662,7 @@ class CompressionService(FrameServer):
             if isinstance(program, Module):
                 raise ServiceError(
                     protocol.E_BAD_REQUEST,
-                    "run_compressed needs an RCX1 compressed module")
+                    "run_compressed needs an RCX1/RCX2 compressed module")
             if engine == "reference":
                 return ("reference", *_run(program, Interpreter2))
             # One grammar key per request: it names the breaker slots

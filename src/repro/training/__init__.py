@@ -1,6 +1,6 @@
-"""Grammar training: edge counting, inlining, pluggable trainer
-strategies (greedy edge contraction, MR-RePair maximal-repeat seeding,
-and the hybrid of the two)."""
+"""Grammar training: edge counting, inlining, and the two trainers
+(the paper's greedy edge contraction, and MR-RePair maximal-repeat
+seeding followed by it)."""
 
 from .edges import (
     EdgeIndex,
@@ -11,22 +11,14 @@ from .edges import (
 )
 from .inline import contract_occurrence, inline_rule
 from .expander import TrainingReport, TrainingStats, expand_grammar
-from .strategy import (
-    STRATEGIES,
-    SeedReport,
-    TrainerStrategy,
-    register_strategy,
-    resolve_strategy,
-)
-from .greedy import GreedyStrategy
-from .repair import HybridStrategy, repair_seed
+from .repair import SeedReport, repair_seed
+from .strategy import TRAINERS, Trainer, resolve_strategy
 
 __all__ = [
     "EdgeIndex", "EdgeKey", "NaiveEdgeIndex",
     "count_edges", "count_edges_naive",
     "contract_occurrence", "inline_rule",
     "TrainingReport", "TrainingStats", "expand_grammar",
-    "STRATEGIES", "SeedReport", "TrainerStrategy",
-    "register_strategy", "resolve_strategy",
-    "GreedyStrategy", "HybridStrategy", "repair_seed",
+    "SeedReport", "repair_seed",
+    "TRAINERS", "Trainer", "resolve_strategy",
 ]

@@ -40,7 +40,7 @@ __all__ = ["TrainingReport", "TrainingStats", "expand_grammar"]
 class TrainingReport:
     """What one training run did.
 
-    ``rules_added``/``contractions`` cover *both* phases of a strategy
+    ``rules_added``/``contractions`` cover *both* phases of a hybrid
     run (maximal-repeat seeding plus greedy refinement); the ``seed_*``
     fields break the seed phase's share out, and ``iterations`` counts
     refine-phase inlining steps only.
@@ -56,16 +56,16 @@ class TrainingReport:
     wall_seconds: float = 0.0
     #: per-iteration (edge count, new rule id) — compact trace for analysis
     history: List[Tuple[int, int]] = field(default_factory=list)
-    #: which :class:`~repro.training.strategy.TrainerStrategy` trained
-    #: this grammar ("greedy" when ``expand_grammar`` was driven directly)
+    #: which :class:`~repro.training.strategy.Trainer` trained this
+    #: grammar ("greedy" when ``expand_grammar`` was driven directly)
     strategy: str = "greedy"
-    #: the strategy's non-default knobs, JSON-serializable (provenance)
+    #: the trainer's knobs, JSON-serializable (provenance)
     strategy_params: Dict[str, object] = field(default_factory=dict)
     #: rules added / rounds run / forest nodes removed by the seed phase
     seed_rules: int = 0
     seed_rounds: int = 0
     seed_contractions: int = 0
-    #: wall seconds per phase (seed is 0.0 for seedless strategies)
+    #: wall seconds per phase (seed is 0.0 for the greedy trainer)
     seed_seconds: float = 0.0
     refine_seconds: float = 0.0
 
@@ -102,11 +102,9 @@ class TrainingStats(TrainingReport):
     #: seconds spent parsing the corpus into the forest (filled by
     #: ``pipeline.train_grammar``; 0 when the caller built the forest)
     parse_seconds: float = 0.0
-    #: parser workers used by ``pipeline.train_grammar`` (1 = serial)
-    parser_workers: int = 1
     #: total expander wall time
     expand_seconds: float = 0.0
-    #: wall seconds per maximal-repeat seed round (seeding strategies)
+    #: wall seconds per maximal-repeat seed round (hybrid trainer)
     seed_round_seconds: List[float] = field(default_factory=list)
 
     @property
@@ -129,12 +127,9 @@ class TrainingStats(TrainingReport):
 
     def summary_lines(self) -> List[str]:
         """Human-readable digest (the CLI's ``--stats`` output): one line
-        per phase — parse, seed (when the strategy has one), refine —
-        each with its own wall time, then the index/heap behaviour."""
-        lines = [
-            f"trainer: {self.strategy}; parse {self.parse_seconds:.3f}s "
-            f"({self.parser_workers} worker(s))",
-        ]
+        per phase — parse, seed (hybrid only), refine — each with its
+        own wall time, then the index/heap behaviour."""
+        lines = [f"trainer: {self.strategy}; parse {self.parse_seconds:.3f}s"]
         if self.seed_rounds:
             per_round = ""
             if self.seed_round_seconds:

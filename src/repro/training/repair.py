@@ -26,25 +26,20 @@ non-byte child is inlined away); their fragments are built over original
 rule ids only, which keeps them serializable (RGR1) and tileable by the
 compressor exactly like greedily-inlined rules.  The per-nonterminal
 seed budget (``budget_frac`` of the remaining 256-rule capacity) is what
-the hybrid strategy uses to leave the profiled greedy expander room to
+the hybrid trainer uses to leave the profiled greedy expander room to
 refine — e.g. to burn frequent literals into the seeded holes.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..grammar.cfg import Grammar, is_nonterminal
 from ..parsing.forest import Forest, Node
-from .strategy import (
-    SeedReport,
-    TrainerStrategy,
-    _greedy_refine,
-    register_strategy,
-)
 
-__all__ = ["repair_seed", "HybridStrategy"]
+__all__ = ["SeedReport", "repair_seed"]
 
 #: the interned key id of a hole (a ``<byte>``-rooted subtree)
 _HOLE = 0
@@ -140,6 +135,17 @@ def _materialize(k: int, rules, krule, kids, rhs_cache, frag_cache,
     return rhs_cache[k], frag_cache[k]
 
 
+@dataclass
+class SeedReport:
+    """What one seed phase did (folded into the TrainingReport)."""
+
+    rules_added: int = 0
+    rules_reused: int = 0
+    rounds: int = 0
+    contractions: int = 0
+    round_seconds: List[float] = field(default_factory=list)
+
+
 def repair_seed(grammar: Grammar, forest: Forest, *,
                 min_count: int = 2,
                 max_rounds: int = 8,
@@ -161,8 +167,7 @@ def repair_seed(grammar: Grammar, forest: Forest, *,
             rest is left for the refine phase.
 
     Everything is deterministic: shape ids are assigned in forest
-    preorder, ties break toward earlier ids, and the forest itself is
-    already identical across parser worker counts.
+    preorder and ties break toward earlier ids.
     """
     byte_nt = grammar.nonterminal("byte")
     rules = grammar.rules
@@ -272,57 +277,3 @@ def repair_seed(grammar: Grammar, forest: Forest, *,
         if round_contractions == 0:
             break
     return report
-
-
-@register_strategy
-class HybridStrategy(TrainerStrategy):
-    """Maximal-repeat seeding, then the profiled greedy expander.
-
-    The default ``budget_frac`` spends a tenth of every nonterminal's
-    remaining capacity on seeds and reserves the rest for refinement.
-    Measured on the synthetic corpus (EXPERIMENTS.md, S4): seeded
-    hole-shapes generalize — hybrid beats pure greedy on every input it
-    did NOT train on — while larger seed budgets crowd out the literal
-    burning that greedy's profile-driven refinement spends rules on.
-    """
-
-    id = "hybrid"
-
-    def __init__(self, *, max_rounds: int = 8,
-                 max_rule_symbols: int = 64,
-                 budget_frac: float = 0.1) -> None:
-        self.max_rounds = max_rounds
-        self.max_rule_symbols = max_rule_symbols
-        self.budget_frac = budget_frac
-
-    def params(self) -> Dict[str, object]:
-        return {
-            "max_rounds": self.max_rounds,
-            "max_rule_symbols": self.max_rule_symbols,
-            "budget_frac": self.budget_frac,
-        }
-
-    def seed(self, grammar: Grammar, forest: Forest, *,
-             min_count: int = 2) -> SeedReport:
-        return repair_seed(
-            grammar, forest,
-            min_count=min_count,
-            max_rounds=self.max_rounds,
-            max_rule_symbols=self.max_rule_symbols,
-            budget_frac=self.budget_frac,
-        )
-
-    def refine(self, grammar: Grammar, forest: Forest, *,
-               min_count: int = 2,
-               remove_subsumed: bool = True,
-               max_iterations: Optional[int] = None,
-               index_mode: str = "incremental",
-               collect_stats: bool = False):
-        return _greedy_refine(
-            grammar, forest,
-            min_count=min_count,
-            remove_subsumed=remove_subsumed,
-            max_iterations=max_iterations,
-            index_mode=index_mode,
-            collect_stats=collect_stats,
-        )

@@ -1,97 +1,76 @@
-"""The pluggable trainer-strategy seam (ROADMAP: RePair-family seeding).
+"""The trainer: how the forest of parse trees becomes an expanded grammar.
 
-A *trainer strategy* decides how the forest of parse trees becomes an
-expanded grammar.  Every strategy runs the same two-phase shape:
+There are two trainers (:data:`TRAINERS`), and both end in the paper's
+greedy profiled edge-contraction loop
+(:func:`~repro.training.expander.expand_grammar`):
 
-1. **seed** — optionally add rules wholesale (e.g. MR-RePair maximal
-   repeats) and contract their occurrences in the forest;
-2. **refine** — optionally run the greedy profiled edge-contraction loop
-   (:func:`~repro.training.expander.expand_grammar`) over whatever the
-   seed phase left.
+* ``greedy`` runs that loop alone (Section 4.1); it takes no knobs;
+* ``hybrid`` first seeds the grammar with the forest's maximal repeats
+  (:func:`~repro.training.repair.repair_seed`, MR-RePair) and then runs
+  the loop over what seeding left.  Its knobs are ``max_rounds``,
+  ``max_rule_symbols`` and ``budget_frac``.
 
-``train`` drives both phases, times each, and folds the seed phase's
-work into the returned :class:`TrainingReport` so every consumer —
-pipeline, registry provenance, CLI ``--stats``, experiment harness —
-sees one uniform record with the strategy's identity attached.
-
-Strategies register themselves by name (``@register_strategy``);
-:func:`resolve_strategy` turns a name, class, or instance into a ready
-instance, so ``train_grammar(strategy="hybrid")`` and
-``repro train --trainer hybrid`` share one lookup path.  The concrete
-strategies live one layer up — :mod:`repro.training.greedy` and
-:mod:`repro.training.repair` — and this module never imports them at
-module level (the adaptive-retraining ROADMAP item will plug new ones
-into the same registry).
+:meth:`Trainer.train` times the seed phase and folds its work into the
+returned :class:`TrainingReport`, so every consumer (pipeline, registry
+provenance, CLI ``--stats``, experiment harness) sees one record with
+the trainer's name and knobs attached.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type, Union
+from typing import Dict, Optional
 
 from ..grammar.cfg import Grammar
 from ..parsing.forest import Forest
 from .expander import TrainingReport, TrainingStats, expand_grammar
+from .repair import repair_seed
 
-__all__ = [
-    "SeedReport",
-    "TrainerStrategy",
-    "STRATEGIES",
-    "register_strategy",
-    "resolve_strategy",
-]
+__all__ = ["TRAINERS", "Trainer", "resolve_strategy"]
 
+#: trainer name -> its knobs and their defaults
+_KNOBS: Dict[str, Dict[str, object]] = {
+    "greedy": {},
+    "hybrid": {"max_rounds": 8, "max_rule_symbols": 64, "budget_frac": 0.1},
+}
 
-@dataclass
-class SeedReport:
-    """What one seed phase did (folded into the TrainingReport)."""
-
-    rules_added: int = 0
-    rules_reused: int = 0
-    rounds: int = 0
-    contractions: int = 0
-    round_seconds: List[float] = field(default_factory=list)
+#: the trainer names, in the order the CLI offers them
+TRAINERS = tuple(_KNOBS)
 
 
-class TrainerStrategy:
-    """Base strategy: no seeding, no refinement.
+class Trainer:
+    """One trainer by name, with its knobs.
 
-    Subclasses override :meth:`seed` and/or :meth:`refine`; constructor
-    keyword arguments are the strategy's own knobs and are recorded
-    verbatim as provenance (:attr:`TrainingReport.strategy_params`), so
-    they must be JSON-serializable.  Pipeline-level knobs (``min_count``,
-    ``index_mode``, ...) arrive as :meth:`train` arguments instead —
-    they mean the same thing for every strategy.
+    The knobs are recorded verbatim as provenance
+    (:attr:`TrainingReport.strategy_params`), so they must be
+    JSON-serializable.  Pipeline-level knobs (``min_count``,
+    ``index_mode``, ...) arrive as :meth:`train` arguments instead; they
+    mean the same thing for both trainers.
+
+    The default ``budget_frac`` of ``hybrid`` spends a tenth of every
+    nonterminal's remaining capacity on seeds and leaves the rest to the
+    greedy loop.  Measured on the synthetic corpus (EXPERIMENTS.md, S4),
+    seeded hole-shapes generalize: hybrid beats greedy on every input it
+    did not train on, while larger seed budgets crowd out the literal
+    burning that greedy's profile-driven refinement spends rules on.
     """
 
-    id: str = "none"
+    def __init__(self, name: str, **params) -> None:
+        knobs = _KNOBS.get(name)
+        if knobs is None:
+            raise ValueError(f"unknown trainer {name!r} "
+                             f"(known: {', '.join(TRAINERS)})")
+        unknown = sorted(set(params) - set(knobs))
+        if unknown:
+            raise ValueError(f"trainer {name!r} takes no knob "
+                             f"{', '.join(unknown)} "
+                             f"(knobs: {', '.join(knobs) or 'none'})")
+        self.name = name
+        self._params = {**knobs, **params}
 
     def params(self) -> Dict[str, object]:
-        """The strategy's own knobs, for provenance (default: none)."""
-        return {}
-
-    def seed(self, grammar: Grammar, forest: Forest, *,
-             min_count: int = 2) -> Optional[SeedReport]:
-        """Phase 1: bulk rule creation.  Mutates grammar and forest in
-        place; returns ``None`` when the strategy does not seed."""
-        return None
-
-    def refine(self, grammar: Grammar, forest: Forest, *,
-               min_count: int = 2,
-               remove_subsumed: bool = True,
-               max_iterations: Optional[int] = None,
-               index_mode: str = "incremental",
-               collect_stats: bool = False) -> TrainingReport:
-        """Phase 2: greedy expansion.  The default is a no-op that just
-        measures the (post-seed) forest so the report sizes are honest."""
-        size = sum(1 for _ in forest.nodes())
-        if collect_stats:
-            report = TrainingStats(initial_size=size, index_mode="none")
-        else:
-            report = TrainingReport(initial_size=size)
-        report.final_size = size
-        return report
+        """The trainer's own knobs, for provenance."""
+        return dict(self._params)
 
     def train(self, grammar: Grammar, forest: Forest, *,
               min_count: int = 2,
@@ -99,17 +78,21 @@ class TrainerStrategy:
               max_iterations: Optional[int] = None,
               index_mode: str = "incremental",
               collect_stats: bool = False) -> TrainingReport:
-        """Run seed then refine; return one merged report.
+        """Seed (``hybrid`` only), then run the greedy loop; mutates
+        ``grammar`` and ``forest`` and returns one merged report.
 
         ``initial_size`` is always the *pre-seed* derivation length and
         ``rules_added``/``contractions`` include both phases, so
-        ``size_ratio`` means the same thing for every strategy.
+        ``size_ratio`` means the same thing for both trainers.
         """
-        pre_size = sum(1 for _ in forest.nodes())
-        seed_start = time.perf_counter()
-        seeded = self.seed(grammar, forest, min_count=min_count)
-        seed_seconds = time.perf_counter() - seed_start
-        report = self.refine(
+        seeded = None
+        if self.name == "hybrid":
+            pre_size = sum(1 for _ in forest.nodes())
+            seed_start = time.perf_counter()
+            seeded = repair_seed(grammar, forest, min_count=min_count,
+                                 **self._params)
+            seed_seconds = time.perf_counter() - seed_start
+        report = expand_grammar(
             grammar, forest,
             min_count=min_count,
             remove_subsumed=remove_subsumed,
@@ -117,7 +100,7 @@ class TrainerStrategy:
             index_mode=index_mode,
             collect_stats=collect_stats,
         )
-        report.strategy = self.id
+        report.strategy = self.name
         report.strategy_params = self.params()
         if seeded is not None:
             report.seed_rules = seeded.rules_added
@@ -132,58 +115,5 @@ class TrainerStrategy:
         return report
 
 
-def _greedy_refine(grammar: Grammar, forest: Forest, *,
-                   min_count: int = 2,
-                   remove_subsumed: bool = True,
-                   max_iterations: Optional[int] = None,
-                   index_mode: str = "incremental",
-                   collect_stats: bool = False) -> TrainingReport:
-    """The shared refine phase: the paper's greedy profiled expander,
-    with exactly the argument surface :meth:`TrainerStrategy.refine`
-    promises (used by the greedy and hybrid strategies)."""
-    return expand_grammar(
-        grammar, forest,
-        min_count=min_count,
-        remove_subsumed=remove_subsumed,
-        max_iterations=max_iterations,
-        index_mode=index_mode,
-        collect_stats=collect_stats,
-    )
-
-
-#: name -> strategy class; populated by :func:`register_strategy`
-STRATEGIES: Dict[str, Type[TrainerStrategy]] = {}
-
-
-def register_strategy(cls: Type[TrainerStrategy]) -> Type[TrainerStrategy]:
-    """Class decorator: make ``cls`` resolvable by its ``id``."""
-    if not cls.id or cls.id in STRATEGIES:
-        raise ValueError(f"bad or duplicate strategy id {cls.id!r}")
-    STRATEGIES[cls.id] = cls
-    return cls
-
-
-def resolve_strategy(spec: Union[str, TrainerStrategy,
-                                 Type[TrainerStrategy]],
-                     **params) -> TrainerStrategy:
-    """Name | class | instance -> ready instance.
-
-    Extra keyword arguments are the strategy's constructor knobs; passing
-    them with an already-constructed instance is an error (ambiguous).
-    """
-    # Importing the concrete strategies registers them; lazy so this
-    # module stays importable below them in the layer order.
-    from . import greedy, repair  # noqa: F401
-    if isinstance(spec, TrainerStrategy):
-        if params:
-            raise ValueError(
-                "cannot apply params to an already-built strategy")
-        return spec
-    if isinstance(spec, type) and issubclass(spec, TrainerStrategy):
-        return spec(**params)
-    cls = STRATEGIES.get(spec)
-    if cls is None:
-        known = ", ".join(sorted(STRATEGIES))
-        raise ValueError(f"unknown trainer strategy {spec!r} "
-                         f"(known: {known})")
-    return cls(**params)
+#: the name callers outside the package use for ``Trainer(name, **params)``
+resolve_strategy = Trainer

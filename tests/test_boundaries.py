@@ -4,8 +4,7 @@ The one-byte codeword design hinges on two boundaries: no nonterminal may
 ever exceed 256 rules (a rule index must fit in a byte), and when two edges
 are equally frequent the expander must pick a *deterministic* winner — the
 lexicographically smallest ``(parent_rule_id, slot, child_rule_id)`` key —
-identically across runs, across index implementations, and across parser
-worker counts.
+identically across runs and across index implementations.
 """
 
 import pytest
@@ -139,33 +138,21 @@ def test_training_deterministic_across_runs():
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_training_deterministic_across_worker_counts(workers):
-    corpus = [_module(size=6, seed=13), _module(size=4, seed=17)]
-    g_serial, r_serial = train_grammar(corpus)
-    g_par, r_par = train_grammar(corpus, parser_workers=workers)
-    assert [(r.lhs, r.rhs, r.origin) for r in g_serial] == \
-           [(r.lhs, r.rhs, r.origin) for r in g_par]
-    assert (r_serial.iterations, r_serial.final_size) == \
-           (r_par.iterations, r_par.final_size)
-
-
 # -- MR-RePair seeding at the boundaries --------------------------------------
 #
 # ``"repair"`` is the seeder alone (:func:`repair_seed` at its full
 # budget); ``"hybrid"`` seeds a tenth of the budget, then refines.
 
-def _seeded(strategy, corpus, workers=None):
+def _seeded(strategy, corpus):
     """Rule signature and seed-phase numbers after seeding ``corpus``."""
     if strategy == "repair":
         grammar = initial_grammar()
-        forest = build_forest(grammar, corpus, workers=workers)
+        forest = build_forest(grammar, corpus)
         seeded = repair_seed(grammar, forest)
         numbers = (seeded.rules_added, seeded.rounds, seeded.contractions,
                    sum(1 for _ in forest.nodes()))
     else:
-        grammar, report = train_grammar(corpus, strategy=strategy,
-                                        parser_workers=workers)
+        grammar, report = train_grammar(corpus, strategy=strategy)
         numbers = (report.seed_rules, report.seed_rounds,
                    report.contractions, report.final_size)
     return [(r.lhs, r.rhs, r.origin, r.fragment) for r in grammar], numbers
@@ -209,23 +196,3 @@ def test_seed_budget_frac_bounds_seeded_rules_per_nt():
 @pytest.mark.parametrize("strategy", ["repair", "hybrid"])
 def test_seeding_deterministic_across_runs(strategy):
     assert _seeded(strategy, [_module()]) == _seeded(strategy, [_module()])
-
-
-@pytest.mark.parametrize("strategy", ["repair", "hybrid"])
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_seeding_deterministic_across_worker_counts(strategy, workers):
-    """Shape-key ids are assigned in forest preorder, which the parallel
-    parser reproduces exactly — so seeding (and everything downstream)
-    is invariant under parser_workers."""
-    corpus = [_module(size=6, seed=13), _module(size=4, seed=17)]
-    assert _seeded(strategy, corpus) == _seeded(strategy, corpus, workers)
-
-
-def test_parallel_forest_merges_in_corpus_order():
-    g = initial_grammar()
-    corpus = [_module(size=5, seed=19), _module(size=3, seed=23)]
-    serial = build_forest(g, corpus)
-    parallel = build_forest(g, corpus, workers=3)
-    assert len(serial) == len(parallel)
-    assert [derivation_of_tree(t) for t in serial] == \
-           [derivation_of_tree(t) for t in parallel]

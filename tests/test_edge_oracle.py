@@ -10,9 +10,11 @@ tests hold both halves of that claim down:
   and occurrence sets equal the naive recount;
 * run-level: full training with ``index_mode="naive"`` vs
   ``index_mode="incremental"`` produces byte-identical grammars (same
-  rules, same order) and identical iteration histories — with 1 and with
-  several parser workers.
+  rules, same order) and identical iteration histories — for one
+  training and for several run at once on a thread pool.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -88,37 +90,49 @@ def test_naive_index_selects_identically_per_query():
             naive.best(select_all, min_count=min_count)
 
 
+def _train_concurrently(corpus, workers, **kwargs):
+    """``workers`` trainings of one corpus at once, on a thread pool, in
+    submission order.  Training keeps no state between calls and does not
+    mutate its input modules, so every concurrent run must give what a
+    lone run gives."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(train_grammar, corpus, **kwargs)
+                   for _ in range(workers)]
+        return [f.result() for f in futures]
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_trained_grammar_identical_naive_vs_incremental(workers):
     corpus = [_corpus_module(size=8, seed=3), _corpus_module(size=5, seed=11)]
-    g_inc, r_inc = train_grammar(
-        corpus, parser_workers=workers, index_mode="incremental",
-        collect_stats=True)
+    runs = _train_concurrently(corpus, workers, index_mode="incremental",
+                               collect_stats=True)
     g_naive, r_naive = train_grammar(
-        corpus, parser_workers=workers, index_mode="naive",
-        collect_stats=True)
-    assert _grammar_signature(g_inc) == _grammar_signature(g_naive)
-    assert (r_inc.iterations, r_inc.rules_added, r_inc.rules_removed,
-            r_inc.contractions, r_inc.final_size) == \
-           (r_naive.iterations, r_naive.rules_added, r_naive.rules_removed,
-            r_naive.contractions, r_naive.final_size)
+        corpus, index_mode="naive", collect_stats=True)
+    assert len(runs) == workers
+    for g_inc, r_inc in runs:
+        assert _grammar_signature(g_inc) == _grammar_signature(g_naive)
+        assert (r_inc.iterations, r_inc.rules_added, r_inc.rules_removed,
+                r_inc.contractions, r_inc.final_size) == \
+               (r_naive.iterations, r_naive.rules_added, r_naive.rules_removed,
+                r_naive.contractions, r_naive.final_size)
+        assert r_inc.recounts == 0
     assert r_naive.recounts == r_naive.iterations + 1  # one per query
-    assert r_inc.recounts == 0
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_seed_corpus_grammar_identical_across_index_and_workers(workers):
     """The acceptance check, on the repo's own benchmark corpus: the
     trained grammar (rules *and* rule order, hence every codeword) is
-    identical with the incremental index and the naive oracle, serial and
-    parallel."""
+    identical with the incremental index and the naive oracle, for a lone
+    training and for several trainings running at once."""
     from repro.corpus import compiled_corpus
 
     modules = [compiled_corpus(6)["lcc"], compiled_corpus(6)["8q"]]
-    g_inc, _ = train_grammar(modules, parser_workers=workers)
-    g_naive, _ = train_grammar(modules, parser_workers=workers,
-                               index_mode="naive")
-    assert _grammar_signature(g_inc) == _grammar_signature(g_naive)
+    runs = _train_concurrently(modules, workers)
+    g_naive, _ = train_grammar(modules, index_mode="naive")
+    assert len(runs) == workers
+    for g_inc, _ in runs:
+        assert _grammar_signature(g_inc) == _grammar_signature(g_naive)
 
 
 def test_histories_match_between_index_modes():

@@ -39,23 +39,30 @@ def test_lint_catches_cli_import_even_lazily(tmp_path):
 
 
 def test_lint_catches_training_sublayer_up_import(tmp_path):
-    # The trainer-strategy seam is sub-ranked: a primitive (edges,
-    # sub-layer 0) importing a strategy module (repair, sub-layer 4) at
-    # module level must be flagged even though both are "training".
+    # The training package is sub-ranked: a primitive (edges, sub-layer
+    # 0) importing the trainer module (strategy, sub-layer 4) at module
+    # level must be flagged even though both are "training".
     bad = tmp_path / "repro"
     shutil.copytree(SRC, bad)
     edges = bad / "training" / "edges.py"
     edges.write_text(edges.read_text()
-                     + "\nfrom .repair import HybridStrategy\n")
+                     + "\nfrom .strategy import Trainer\n")
     violations = check(bad)
-    assert any("training/edges.py" in v and "repair" in v
+    assert any("training/edges.py" in v and "strategy" in v
                for v in violations)
 
 
 def test_lint_allows_function_local_training_sibling_import(tmp_path):
-    # strategy's lazy `from . import greedy, repair` (registration on
-    # resolve) is function-local and must stay exempt.
-    assert check() == []  # the real tree, which contains exactly that
+    # The same upward sibling import inside a function is a deliberate
+    # late binding and must stay exempt.
+    ok = tmp_path / "repro"
+    shutil.copytree(SRC, ok)
+    edges = ok / "training" / "edges.py"
+    edges.write_text(edges.read_text()
+                     + "\n\ndef _late():\n"
+                       "    from .strategy import Trainer\n"
+                       "    return Trainer\n")
+    assert check(ok) == check(SRC) == []
 
 
 def test_lint_allows_function_local_down_skip(tmp_path):

@@ -378,23 +378,3 @@ def test_property_derivation_cache_is_transparent(corpus_codes):
         assert cached.compress_procedure(proc).code == \
             uncached.compress_procedure(proc).code
     assert uncached.cache_info() == "disabled"
-
-
-@given(st.lists(random_code(), min_size=2, max_size=3))
-@settings(max_examples=15, deadline=None)
-def test_property_parallel_parse_equals_serial(corpus_codes):
-    """build_forest with a worker pool produces the same forest, in the
-    same order, as the serial loop — over random modules."""
-    from repro.bytecode.module import Module as Mod
-    from repro.parsing.derivation import derivation_of_tree
-    from repro.parsing.stackparser import build_forest
-
-    g = initial_grammar()
-    modules = [
-        Mod(procedures=[Procedure(f"p{i}", code, labels, 0)])
-        for i, (code, labels) in enumerate(corpus_codes)
-    ]
-    serial = build_forest(g, modules)
-    parallel = build_forest(g, modules, workers=3)
-    assert [derivation_of_tree(t) for t in serial] == \
-        [derivation_of_tree(t) for t in parallel]

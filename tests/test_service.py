@@ -263,6 +263,7 @@ def test_error_frames(harness, artifacts):
         with pytest.raises(ServiceError) as e:
             client.run_compressed(artifacts["app_bytes"])
         assert e.value.code == "bad_request"
+        assert "an RCX1/RCX2 compressed module" in e.value.message
 
         with pytest.raises(ServiceError) as e:
             client.put_grammar(b"not a grammar at all")

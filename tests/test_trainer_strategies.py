@@ -1,16 +1,16 @@
-"""The trainer-strategy seam (ISSUE 10).
+"""The two trainers (:class:`repro.training.Trainer`).
 
-The greedy edge-contraction loop moved behind
-:class:`repro.training.TrainerStrategy` under a bit-identical contract,
-gated here by a frozen oracle (:mod:`repro.training.oracle`) across a
-50-seed golden sweep: same rules (ids, bodies, origins, fragments) and
-same report numbers as the pre-refactor loop.  MR-RePair seeding —
-alone (``repair``: :func:`repair_seed` with no refine phase) and inside
-the ``hybrid`` strategy — is held to the same differential bar as every
-other trainer: grammars that ``check()``, byte-identical
-compress/decompress round trips, engine agreement (compiled, reference,
-and — where a C compiler exists — native), and incremental-vs-naive
-edge-index equality through the refine phase.
+The greedy trainer runs the paper's edge-contraction loop under a
+bit-identical contract, gated here by a frozen oracle
+(:mod:`repro.training.oracle`) across a 50-seed golden sweep: same
+rules (ids, bodies, origins, fragments) and same report numbers as the
+original loop.  MR-RePair seeding — alone (``repair``: the hybrid
+trainer at its full seed budget with no refine iterations) and inside
+the ``hybrid`` trainer — is held to the same differential bar as greedy:
+grammars that ``check()``, byte-identical compress/decompress round
+trips, engine agreement (compiled, reference, and — where a C compiler
+exists — native), and incremental-vs-naive edge-index equality through
+the refine phase.
 
 Seeds 400-449: disjoint from test_differential (100-149),
 test_exec_equivalence (200-249), and test_program_equivalence (300-349).
@@ -29,33 +29,21 @@ from repro.interp.runtime import Machine
 from repro.minic import compile_source
 from repro.parsing.stackparser import build_forest
 from repro.storage import save_module
-from repro.training import (
-    STRATEGIES,
-    GreedyStrategy,
-    HybridStrategy,
-    TrainerStrategy,
-    repair_seed,
-    resolve_strategy,
-)
+from repro.training import TRAINERS, repair_seed, resolve_strategy
 from repro.training.edges import EdgeIndex
 from repro.training.oracle import oracle_expand_grammar
 
 GOLDEN_SEEDS = list(range(400, 450))
-STRATEGY_NAMES = ("greedy", "hybrid")
 
-
-class SeedOnly(TrainerStrategy):
-    """The seed phase alone: :func:`repair_seed` at its defaults, no
-    refinement — the seed-only grammar the sweeps below exercise."""
-
-    id = "repair"
-
-    def seed(self, grammar, forest, *, min_count=2):
-        return repair_seed(grammar, forest, min_count=min_count)
-
-
-#: test id -> strategy: both registered trainers plus seeding alone
-TRAINERS = {"greedy": "greedy", "repair": SeedOnly, "hybrid": "hybrid"}
+#: test id -> ``train_grammar`` arguments: both trainers, plus seeding
+#: alone (``repair_seed`` at its defaults — full budget — and no
+#: refinement)
+CASES = {
+    "greedy": {"strategy": "greedy"},
+    "repair": {"strategy": "hybrid", "strategy_params": {"budget_frac": 1.0},
+               "max_iterations": 0},
+    "hybrid": {"strategy": "hybrid"},
+}
 
 
 def _signature(grammar):
@@ -73,7 +61,7 @@ def _corpus(seed, size=4, n=2):
             for k in range(n)]
 
 
-# -- tentpole gate: the greedy port is bit-identical to the frozen oracle
+# -- the greedy trainer is bit-identical to the frozen oracle -----------------
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
@@ -82,7 +70,7 @@ def test_greedy_strategy_matches_oracle(seed):
 
     live = initial_grammar()
     live_forest = build_forest(live, corpus)
-    report = GreedyStrategy().train(live, live_forest)
+    report = resolve_strategy("greedy").train(live, live_forest)
 
     frozen = initial_grammar()
     frozen_forest = build_forest(frozen, corpus)
@@ -101,7 +89,7 @@ def test_greedy_strategy_matches_oracle(seed):
 
 def test_greedy_strategy_matches_oracle_under_knobs():
     """The knob surface (min_count, caps, no-subsumption, iteration
-    limits) must pass through the seam unchanged."""
+    limits) must pass through the trainer unchanged."""
     corpus = _corpus(405)
     for kwargs in (
         {"min_count": 3},
@@ -110,22 +98,21 @@ def test_greedy_strategy_matches_oracle_under_knobs():
     ):
         live = initial_grammar(max_rules_per_nt=32)
         lf = build_forest(live, corpus)
-        GreedyStrategy().train(live, lf, **kwargs)
+        resolve_strategy("greedy").train(live, lf, **kwargs)
         frozen = initial_grammar(max_rules_per_nt=32)
         ff = build_forest(frozen, corpus)
         oracle_expand_grammar(frozen, ff, **kwargs)
         assert _signature(live) == _signature(frozen), kwargs
 
 
-# -- differential sweep: every strategy's grammar behaves ---------------------
+# -- differential sweep: every trainer's grammar behaves ----------------------
 
 
-@pytest.fixture(scope="module", params=list(TRAINERS))
+@pytest.fixture(scope="module", params=list(CASES))
 def strategy_grammar(request):
     corpus = [compile_source(generate_program(8, seed=s))
               for s in (411, 412)]
-    grammar, report = train_grammar(corpus,
-                                    strategy=TRAINERS[request.param])
+    grammar, report = train_grammar(corpus, **CASES[request.param])
     grammar.check()
     return request.param, grammar, report
 
@@ -154,7 +141,7 @@ def test_strategy_round_trip_and_engines(seed, strategy_grammar):
 
 def test_strategy_report_provenance(strategy_grammar):
     name, _, report = strategy_grammar
-    assert report.strategy == name
+    assert report.strategy == CASES[name]["strategy"]
     assert report.final_size == report.initial_size - report.contractions
     if name == "greedy":
         assert report.strategy_params == {}
@@ -165,6 +152,7 @@ def test_strategy_report_provenance(strategy_grammar):
         assert report.seed_seconds >= 0.0
     if name == "repair":
         assert report.iterations == 0  # no refine phase
+        assert report.strategy_params["budget_frac"] == 1.0
     if name == "hybrid":
         assert report.strategy_params["max_rounds"] == 8
         assert report.strategy_params["max_rule_symbols"] == 64
@@ -203,7 +191,7 @@ def test_seeded_forest_keeps_edge_index_consistent():
 @pytest.mark.parametrize("name", ("greedy", "hybrid"))
 def test_refine_identical_under_naive_index(name):
     """index_mode="naive" (full recount every iteration) must train the
-    exact same grammar through the strategy seam."""
+    exact same grammar through either trainer."""
     corpus = _corpus(423)
     fast, fast_report = train_grammar(corpus, strategy=name)
     slow, slow_report = train_grammar(corpus, strategy=name,
@@ -213,22 +201,13 @@ def test_refine_identical_under_naive_index(name):
     assert fast_report.iterations == slow_report.iterations
 
 
-# -- resolve_strategy / registration ------------------------------------------
+# -- resolve_strategy ---------------------------------------------------------
 
 
 def test_registry_knows_all_strategies():
-    assert set(STRATEGY_NAMES) <= set(STRATEGIES)
-    assert "repair" not in STRATEGIES  # seeding alone is not a trainer
-    for name in STRATEGY_NAMES:
-        strat = resolve_strategy(name)
-        assert strat.id == name
-
-
-def test_resolve_strategy_accepts_class_and_instance():
-    strat = resolve_strategy(HybridStrategy)
-    assert strat.id == "hybrid"
-    inst = HybridStrategy(max_rounds=3)
-    assert resolve_strategy(inst) is inst
+    assert TRAINERS == ("greedy", "hybrid")  # seeding alone is no trainer
+    for name in TRAINERS:
+        assert resolve_strategy(name).name == name
 
 
 def test_resolve_strategy_params_reach_constructor():
@@ -242,30 +221,26 @@ def test_resolve_strategy_rejects_unknown_name():
         resolve_strategy("bogus-trainer")
 
 
-def test_resolve_strategy_rejects_params_on_instance():
-    with pytest.raises(ValueError):
-        resolve_strategy(HybridStrategy(), max_rounds=2)
+def test_trainer_rejects_knobs_it_does_not_take():
+    """A knob the trainer does not take is named in a ValueError, both
+    when the trainer is built directly and through train_grammar."""
+    with pytest.raises(ValueError, match="max_rounds"):
+        resolve_strategy("greedy", max_rounds=2)
+    with pytest.raises(ValueError, match="bogus"):
+        train_grammar(_corpus(432, size=2, n=1), strategy="hybrid",
+                      strategy_params={"bogus": 1})
 
 
-def test_register_strategy_rejects_duplicate_id():
-    from repro.training import register_strategy
-    with pytest.raises(ValueError):
-        @register_strategy
-        class Imposter(TrainerStrategy):  # noqa: F811
-            id = "greedy"
+# -- per-phase stats surface --------------------------------------------------
 
 
-# -- satellite: per-phase stats surface ---------------------------------------
-
-
-@pytest.mark.parametrize("name", list(TRAINERS))
+@pytest.mark.parametrize("name", list(CASES))
 def test_stats_summary_reports_phases(name):
     corpus = _corpus(431, size=3, n=1)
-    _, stats = train_grammar(corpus, strategy=TRAINERS[name],
-                             collect_stats=True)
+    _, stats = train_grammar(corpus, **CASES[name], collect_stats=True)
     lines = stats.summary_lines()
     text = "\n".join(lines)
-    assert f"trainer: {name}" in lines[0]
+    assert f"trainer: {CASES[name]['strategy']}" in lines[0]
     assert "parse" in lines[0]
     if name in ("repair", "hybrid"):
         assert "seed:" in text, text

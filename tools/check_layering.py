@@ -30,10 +30,10 @@ Rules enforced, by AST walk (no imports executed):
    line is the top of the stack, not a library.  (``__main__`` itself is
    the entry point and may import ``cli``.)
 3. Within packages that declare SUB_RANKS (currently ``training``:
-   edges < inline < expander < oracle/strategy < greedy/repair), a
+   edges < inline < expander < oracle/repair < strategy), a
    module-level import of a ranked sibling must also point strictly
-   down — the trainer-strategy seam can't grow upward imports into the
-   primitives it is built from.
+   down — the trainer can't grow upward imports into the primitives it
+   is built from.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Run from the repository root::
@@ -70,17 +70,19 @@ FORBIDDEN = {"cli", "__main__"}
 
 #: fine-grained ranks *inside* a package: module-level imports between
 #: ranked siblings must also point strictly down.  The training package
-#: is layered so the strategy seam (strategy -> greedy/repair) can never
-#: grow upward imports into the primitives it is built from, and the
-#: frozen oracle stays parallel to (never entangled with) the live
-#: expander.  Unlisted modules (e.g. __init__) may import any sibling.
+#: is layered so the trainer (strategy -> expander, repair) sits on top
+#: of the primitives it is built from and can never grow upward imports
+#: into them, the maximal-repeat seeder stays below the trainer that
+#: runs it, and the frozen oracle stays parallel to (never entangled
+#: with) the live expander.  Unlisted modules (e.g. __init__) may import
+#: any sibling.
 SUB_RANKS = {
     "training": {
         "edges": 0,
         "inline": 1,
         "expander": 2,
-        "oracle": 3, "strategy": 3,
-        "greedy": 4, "repair": 4,
+        "oracle": 3, "repair": 3,
+        "strategy": 4,
     },
 }
 
