@@ -52,17 +52,21 @@ python -m repro client --port "$PORT" decompress "$WORK/app.rcx" \
 cmp "$WORK/app.rbc" "$WORK/back.rbc"
 echo "round trip is byte-identical"
 
-OUT="$(python -m repro client --port "$PORT" run "$WORK/app.rcx")"
-[[ "$OUT" == "55" ]] || { echo "expected 55, got: $OUT" >&2; exit 1; }
+# four runs of one container: each worker decodes its grammar once
+for _ in 1 2 3 4; do
+    OUT="$(python -m repro client --port "$PORT" run "$WORK/app.rcx")"
+    [[ "$OUT" == "55" ]] || { echo "expected 55, got: $OUT" >&2; exit 1; }
+done
 echo "remote execution output: $OUT"
 
 echo "== stats reflect the traffic =="
 python -m repro client --port "$PORT" stats > "$WORK/stats.json"
-python - "$WORK/stats.json" <<'EOF'
+python - "$WORK/stats.json" "$WORKERS" <<'EOF'
 import json
 import sys
 
 stats = json.load(open(sys.argv[1]))
+workers = int(sys.argv[2])
 requests = stats["counters"]["requests_total"]
 for method in ("compress", "decompress", "run_compressed"):
     assert requests.get(f"{method}|ok", 0) >= 1, (method, requests)
@@ -70,7 +74,11 @@ assert stats["counters"]["bytes_in_total"] > 0
 assert stats["counters"]["bytes_out_total"] > 0
 assert stats["histograms"]["batch_size"]["count"] >= 1
 assert stats["histograms"]["request_seconds"]["compress"]["count"] == 1
-print("stats OK:", json.dumps(requests))
+# one decompress + four runs of one container: a miss per worker at most
+table = stats["grammar_table"]
+assert table["hits"] >= 1, table
+assert table["misses"] <= max(1, workers), table
+print("stats OK:", json.dumps(requests), "grammar_table:", json.dumps(table))
 EOF
 
 echo "== SIGTERM drains cleanly =="

@@ -46,7 +46,9 @@ grammar's full structure (names, rules, provenance over canonical
 ordinals); the registry keys its LRU by the RGR1 digest and keeps one
 grammar instance per digest, which together give "one construction per
 grammar hash per process" — asserted by tests against
-:data:`GrammarProgram.constructions`.
+:data:`GrammarProgram.constructions`.  Container loads get the same
+guarantee per owner from :class:`repro.storage.GrammarTable`, which
+hands every load of one grammar blob the same decoded instance.
 
 Mutation
 --------

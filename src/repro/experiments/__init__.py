@@ -19,7 +19,6 @@ from .harness import (
     trained,
     trainer_compare_rows,
     training_speed_rows,
-    training_stats,
 )
 from .report import pct, render_table
 
@@ -30,6 +29,5 @@ __all__ = [
     "compressed_code_bytes", "corpus", "gzip_rows",
     "interpreter_size_row", "overhead_rows", "table1_rows", "table2_rows",
     "trained", "trainer_compare_rows", "training_speed_rows",
-    "training_stats",
     "pct", "render_table",
 ]

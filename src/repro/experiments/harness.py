@@ -28,18 +28,14 @@ from ..interp.sizes import InterpreterSizes, measure_sizes
 from ..native.x86 import module_native_size
 from ..parsing.stackparser import build_forest
 from ..training import TRAINERS
-from ..training.expander import (
-    TrainingReport,
-    TrainingStats,
-    expand_grammar,
-)
+from ..training.expander import TrainingReport, expand_grammar
 
 __all__ = [
     "INPUT_ORDER", "corpus", "trained", "compressed_code_bytes",
     "table1_rows", "table2_rows", "interpreter_size_row",
     "gzip_rows", "baseline_rows", "overhead_rows",
     "ablation_cap_rows", "ablation_grammar_rows",
-    "training_stats", "training_speed_rows",
+    "training_speed_rows",
     "TrainerCompareRow", "trainer_compare_rows",
     "PAPER_TABLE1", "PAPER_TABLE2", "PAPER_INTERP_SIZES",
 ]
@@ -283,19 +279,6 @@ class TrainingSpeedRow:
     heap_peak: int
     heap_hit_rate: float
     identical: bool  # naive and incremental grammars byte-identical
-
-
-def training_stats(train_on: Tuple[str, ...], *,
-                   scale: int = GCCLIKE_SCALE,
-                   index_mode: str = "incremental",
-                   ) -> Tuple[Grammar, TrainingStats]:
-    """Train one configuration with full instrumentation (uncached: stats
-    are timings, and timings should be fresh)."""
-    from ..pipeline import train_grammar
-
-    modules = [corpus(scale)[name] for name in train_on]
-    return train_grammar(modules, index_mode=index_mode,
-                         collect_stats=True)
 
 
 def training_speed_rows(sizes: Tuple[int, ...] = (18, 54, 120),

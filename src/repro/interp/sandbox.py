@@ -14,7 +14,9 @@ This module moves the blast radius into a disposable helper::
     ---------------------------          -------------------------
     NativeSandbox.run(container, ...) ->  length-prefixed pickle
         watchdog on the reply read        NativeEngine per container
-                                          digest (small LRU), runs it,
+                                          digest (small LRU; grammars
+                                          decoded once per helper),
+                                          runs it,
     NativeRun | the engine's own      <-  pickles the result or the
     exception, re-raised intact           exception back
 
@@ -387,8 +389,11 @@ def _h_write_frame(fh, obj) -> None:
     fh.flush()
 
 
-def _h_engine(req, engines: "OrderedDict", cache):
-    """The helper's per-container engine LRU (keyed content+heap)."""
+def _h_engine(req, engines: "OrderedDict", cache, grammars):
+    """The helper's per-container engine LRU (keyed content+heap).  A
+    miss loads through the helper's grammar table, so a grammar is
+    decoded and its engine program built once per helper, however many
+    of its containers pass through the LRU."""
     from .native import NativeEngine
     from ..storage import load_any
 
@@ -396,7 +401,7 @@ def _h_engine(req, engines: "OrderedDict", cache):
            int(req["heap_size"]))
     engine = engines.get(key)
     if engine is None:
-        program = load_any(req["container"])
+        program = load_any(req["container"], grammars)
         if not hasattr(program, "grammar"):
             raise ValueError(
                 "sandbox runs compressed containers only "
@@ -412,6 +417,8 @@ def _h_engine(req, engines: "OrderedDict", cache):
 
 
 def _helper_main(argv) -> int:
+    from ..storage import GrammarTable
+
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
     # Anything that prints must not corrupt the frame stream.
@@ -421,6 +428,7 @@ def _helper_main(argv) -> int:
         from .nativebuild import NativeBuildCache
         cache = NativeBuildCache(Path(argv[0]))
     engines: "OrderedDict" = OrderedDict()
+    grammars = GrammarTable()
     _h_write_frame(stdout, {"ready": True, "pid": os.getpid()})
     while True:
         try:
@@ -435,7 +443,7 @@ def _helper_main(argv) -> int:
         if req.get("hang"):
             time.sleep(float(req["hang"]))  # supervisor SIGKILLs us
         try:
-            run = _h_engine(req, engines, cache).run(
+            run = _h_engine(req, engines, cache, grammars).run(
                 *req["args"], input_data=req["input"],
                 budget=req["budget"])
             reply = {

@@ -8,12 +8,11 @@ from .stackparser import (
     build_forest,
     parse_blocks,
     parse_module,
-    parse_procedure,
 )
 
 __all__ = [
     "DerivationCache",
     "Forest", "Node", "preorder", "terminal_yield", "tree_size",
     "ParseError", "ParsedBlock", "build_forest", "parse_blocks",
-    "parse_module", "parse_procedure",
+    "parse_module",
 ]

@@ -40,8 +40,8 @@ from ..grammar.cfg import (
 )
 from .forest import Forest, Node
 
-__all__ = ["ParseError", "ParsedBlock", "parse_blocks", "parse_procedure",
-           "parse_module", "build_forest"]
+__all__ = ["ParseError", "ParsedBlock", "parse_blocks", "parse_module",
+           "build_forest"]
 
 _LABELV = opcode("LABELV")
 
@@ -285,11 +285,6 @@ def parse_blocks(grammar: Grammar, code: bytes) -> List[ParsedBlock]:
             spine = Node(plans.start_chain.id, [spine, node])
     finish(len(code))
     return blocks
-
-
-def parse_procedure(grammar: Grammar, code: bytes) -> List[ParsedBlock]:
-    """Alias of :func:`parse_blocks` (a procedure is one code stream)."""
-    return parse_blocks(grammar, code)
 
 
 def parse_module(grammar: Grammar, module: Module) -> List[List[ParsedBlock]]:

@@ -31,6 +31,11 @@ clients that connect mid-drain) get a structured, retryable
 ``shutting_down`` error frame — never a silent connection reset — and
 only then does the listener close.
 
+``decompress`` and ``run_compressed`` load their containers through the
+service's :class:`~repro.storage.GrammarTable`, so each container
+grammar is decoded, planned and flattened into engine tables once for
+the service's lifetime, not once per request (``stats.grammar_table``).
+
 Resilience: the registry is integrity-scanned (quarantine + repair)
 before the first byte is served, and ``run_compressed`` runs behind a
 per-grammar circuit breaker — an unexpected compiled-engine fault falls
@@ -48,15 +53,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-import hashlib
-
 from ..bytecode.module import Module
 from ..bytecode.validate import ValidationError
 from ..coding.model import ModelMissingError
 from ..compress.compressor import Compressor
 from ..compress.container import CONTAINER_FORMATS
 from ..compress.decompress import decompress_module
-from ..grammar.serialize import encode_grammar_compact
+from ..core.program import program_for
 from ..interp.compiled import CompiledEngine
 from ..interp.interp2 import Interpreter2
 from ..interp.runtime import run_program
@@ -69,6 +72,7 @@ from ..interp.sandbox import (
 from ..registry import GrammarRegistry, RegistryError
 from ..registry.registry import poison_key
 from ..storage import (
+    GrammarTable,
     StorageError,
     load_any,
     load_compressed,
@@ -219,6 +223,10 @@ class CompressionService(FrameServer):
         self.engine_breaker = CircuitBreaker(threshold=breaker_threshold,
                                              cooldown=breaker_cooldown)
         self.metrics = ServiceMetrics()
+        #: the decoded container grammars of this service's decompress
+        #: and run_compressed loads (one decode and one set of engine
+        #: tables per grammar for the service's lifetime)
+        self.grammars = GrammarTable()
         self._pending = 0
         self._draining = False
         self._workers: Dict[str, _GrammarWorker] = {}
@@ -437,6 +445,7 @@ class CompressionService(FrameServer):
             "grammars": len(self.registry),
             "lru": self.registry.cache_info(),
         }
+        snap["grammar_table"] = self.grammars.stats()
         if self.startup_report is not None:
             snap["registry"]["startup_scan"] = scan_summary(
                 self.startup_report)
@@ -520,7 +529,7 @@ class CompressionService(FrameServer):
 
         def _work() -> bytes:
             try:
-                cmod = load_compressed(data)
+                cmod = load_compressed(data, self.grammars)
             except Exception as exc:  # noqa: BLE001 — client bytes
                 raise ServiceError(
                     protocol.E_BAD_REQUEST,
@@ -654,7 +663,7 @@ class CompressionService(FrameServer):
 
         def _work() -> Tuple[str, int, bytes]:
             try:
-                program = load_any(data)
+                program = load_any(data, self.grammars)
             except Exception as exc:  # noqa: BLE001 — client bytes
                 raise ServiceError(
                     protocol.E_BAD_REQUEST,
@@ -665,10 +674,10 @@ class CompressionService(FrameServer):
                     "run_compressed needs an RCX1/RCX2 compressed module")
             if engine == "reference":
                 return ("reference", *_run(program, Interpreter2))
-            # One grammar key per request: it names the breaker slots
-            # and, for native runs, the poison verdict.
-            gkey = hashlib.sha256(
-                encode_grammar_compact(program.grammar)).hexdigest()
+            # One grammar key per request (computed once per program):
+            # it names the breaker slots and, for native runs, the
+            # poison verdict.
+            gkey = program_for(program.grammar).compact_key
             if engine == "native":
                 return _run_native(program, gkey)
             return _run_compiled(program, gkey)

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 import zlib
-from typing import List, Union
+from collections import OrderedDict
+from typing import Dict, List, Optional, Union
 
 from .bytecode.module import GlobalEntry, Module, Procedure
 from .bytecode.validate import validate_module
@@ -64,6 +66,7 @@ __all__ = [
     "save_compressed", "load_compressed",
     "save_grammar", "load_grammar",
     "load_any", "StorageError",
+    "GrammarTable", "GRAMMAR_TABLE_SIZE",
 ]
 
 _MAGIC_MODULE = b"RBC1"
@@ -326,15 +329,109 @@ def _save_compressed2(cmod: CompressedModule) -> bytes:
     return _seal(w)
 
 
-def load_compressed(data: bytes) -> CompressedModule:
-    """Load either compressed-module container (dispatch on magic)."""
+#: decoded grammars (and, separately, rule models) one
+#: :class:`GrammarTable` keeps: the bound of ``program_for``'s cache
+GRAMMAR_TABLE_SIZE = 16
+
+
+class GrammarTable:
+    """One owner's decoded container grammars, keyed by content.
+
+    In the paper the grammar lives in the interpreter: its rule tables
+    are built once and serve every program it runs.  A long-lived owner
+    of container loads (the service, the native sandbox's helper)
+    passes its table to :func:`load_compressed` or :func:`load_any`.  A
+    container whose grammar blob and nonterminal names match an earlier
+    clean load gets that load's :class:`Grammar` instance back, and
+    with it the instance-keyed ``program_for`` program and every table
+    derived from it.  The key's digest, the SHA-256 of the grammar
+    blob, is also what an RCX2 model binding must equal.
+
+    A hit skips ``decode_grammar`` only (and, for RCX2, building the
+    :class:`RuleModel` of a model blob already bound to the grammar);
+    every other check runs on every load.  Grammars and models are
+    interned only after their whole container has loaded, so a rejected
+    container changes neither the entries nor ``hits``/``misses``.
+    Interned grammars are shared across requests and threads, so a load
+    through a table never attaches counts to one or primes its model
+    memo.  Thread-safe; an LRU of :data:`GRAMMAR_TABLE_SIZE` grammars,
+    and as many models.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._grammars: "OrderedDict[tuple, Grammar]" = OrderedDict()
+        self._models: "OrderedDict[tuple, RuleModel]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"entries": len(self._grammars), "hits": self.hits,
+                    "misses": self.misses}
+
+    def _grammar(self, key: tuple) -> Optional[Grammar]:
+        with self._lock:
+            return self._grammars.get(key)
+
+    def _model(self, key: tuple) -> Optional[RuleModel]:
+        with self._lock:
+            return self._models.get(key)
+
+    def _commit(self, key: tuple, grammar: Grammar,
+                model_key: Optional[tuple] = None,
+                model: Optional[RuleModel] = None) -> None:
+        """Count one clean load and intern what it decoded."""
+        with self._lock:
+            if self._grammars.get(key) is grammar:
+                self.hits += 1
+            else:
+                self.misses += 1
+            _lru_put(self._grammars, key, grammar)
+            if model_key is not None:
+                _lru_put(self._models, model_key, model)
+
+
+def _lru_put(lru: OrderedDict, key, value) -> None:
+    """Insert unless present (a concurrent first load wins), mark most
+    recent, and evict down to :data:`GRAMMAR_TABLE_SIZE`."""
+    lru.setdefault(key, value)
+    lru.move_to_end(key)
+    while len(lru) > GRAMMAR_TABLE_SIZE:
+        lru.popitem(last=False)
+
+
+def _grammar_key(gblob: bytes, names: List[str]) -> tuple:
+    return (hashlib.sha256(gblob).digest(), tuple(names))
+
+
+def _decode(key: tuple, gblob: bytes,
+            grammars: Optional[GrammarTable]) -> Grammar:
+    """A container's grammar: the table's instance for ``key``, else a
+    fresh decode (interned only by its load's ``_commit``)."""
+    grammar = grammars._grammar(key) if grammars is not None else None
+    if grammar is None:
+        grammar = decode_grammar(gblob, nt_names=list(key[1]))
+    return grammar
+
+
+def load_compressed(data: bytes,
+                    grammars: Optional[GrammarTable] = None,
+                    ) -> CompressedModule:
+    """Load either compressed-module container (dispatch on magic).
+
+    ``grammars`` is the caller's :class:`GrammarTable`; without one,
+    every load decodes a grammar of its own.
+    """
     if data[:4] == _MAGIC_COMPRESSED2:
-        return _load_compressed2(data)
+        return _load_compressed2(data, grammars)
     if data[:4] != _MAGIC_COMPRESSED:
         raise StorageError("not an RCX1/RCX2 compressed-module file")
     r = _Reader(data[4:])
     names = _read_nt_names(r)
-    grammar = decode_grammar(r.blob(), nt_names=names)
+    gblob = r.blob()
+    key = _grammar_key(gblob, names)
+    grammar = _decode(key, gblob, grammars)
     shared = _read_shared(r)
     procs = []
     for _ in range(r.u16()):
@@ -343,10 +440,14 @@ def load_compressed(data: bytes) -> CompressedModule:
         procs.append(CompressedProcedure(block_starts=block_starts,
                                          **common))
     _finish(r, data)
+    if grammars is not None:
+        grammars._commit(key, grammar)
     return CompressedModule(grammar=grammar, procedures=procs, **shared)
 
 
-def _load_compressed2(data: bytes) -> CompressedModule:
+def _load_compressed2(data: bytes,
+                      grammars: Optional[GrammarTable] = None,
+                      ) -> CompressedModule:
     # The CRC-32 trailer is verified before any field is parsed — bit
     # rot anywhere in the file fails loudly here instead of surfacing as
     # a deep parse error from the grammar or model decoders.
@@ -361,7 +462,8 @@ def _load_compressed2(data: bytes) -> CompressedModule:
         raise ContainerError(f"unsupported RCX2 version {version}")
     names = _read_nt_names(r)
     gblob = r.blob()
-    grammar = decode_grammar(gblob, nt_names=names)
+    key = _grammar_key(gblob, names)
+    grammar = _decode(key, gblob, grammars)
     mblob = r.blob()
     shared = _read_shared(r)
     specs = []
@@ -383,22 +485,28 @@ def _load_compressed2(data: bytes) -> CompressedModule:
         binding, eos_count, counts = parse_model(mblob)
     except ValueError as exc:
         raise ContainerError(f"bad embedded model: {exc}") from None
-    if binding != hashlib.sha256(gblob).digest():
+    if binding != key[0]:
         raise ContainerError(
             "model/grammar content-key mismatch (the embedded model "
             "was trained for a different grammar)")
     program = program_for(grammar)
-    try:
-        model = RuleModel(program, counts, eos_count, binding=binding)
-    except ValueError as exc:
-        raise ContainerError(f"bad embedded model: {exc}") from None
-    # Re-attach the counts (and prime the model memo) so a loaded
-    # module can be re-saved as RCX2 and its grammar drives coding
-    # stats, exactly like a freshly trained one.
-    setattr(grammar, COUNTS_ATTR,
-            {"rules": [list(row) for row in model.counts],
-             "eos": model.eos_count})
-    program.derived("coding.model", lambda: model)
+    # A table's grammar may be shared: its model stays with this load,
+    # found again only by the same grammar and model blob.
+    model_key = (key, hashlib.sha256(mblob).digest())
+    model = grammars._model(model_key) if grammars is not None else None
+    if model is None:
+        try:
+            model = RuleModel(program, counts, eos_count, binding=binding)
+        except ValueError as exc:
+            raise ContainerError(f"bad embedded model: {exc}") from None
+    if grammars is None:
+        # Re-attach the counts (and prime the model memo) so a loaded
+        # module can be re-saved as RCX2 and its grammar drives coding
+        # stats, exactly like a freshly trained one.
+        setattr(grammar, COUNTS_ATTR,
+                {"rules": [list(row) for row in model.counts],
+                 "eos": model.eos_count})
+        program.derived("coding.model", lambda: model)
 
     decoded = decode_module_streams(program, model,
                                     [s[6] for s in specs], stream)
@@ -424,6 +532,8 @@ def _load_compressed2(data: bytes) -> CompressedModule:
     if crc != payload_crc:
         raise ContainerError(
             "decoded payload CRC-32 mismatch (corrupt coded stream)")
+    if grammars is not None:
+        grammars._commit(key, grammar, model_key, model)
     return CompressedModule(grammar=grammar, procedures=procs, **shared)
 
 
@@ -542,10 +652,12 @@ def load_grammar(data: bytes) -> Grammar:
     return grammar
 
 
-def load_any(data: bytes) -> Union[Module, CompressedModule]:
-    """Dispatch on magic: module or compressed module (either format)."""
+def load_any(data: bytes, grammars: Optional[GrammarTable] = None,
+             ) -> Union[Module, CompressedModule]:
+    """Dispatch on magic: module or compressed module (either format,
+    through ``grammars`` when given; see :func:`load_compressed`)."""
     if data[:4] == _MAGIC_MODULE:
         return load_module(data)
     if data[:4] in (_MAGIC_COMPRESSED, _MAGIC_COMPRESSED2):
-        return load_compressed(data)
+        return load_compressed(data, grammars)
     raise StorageError("unrecognized file magic")

@@ -287,6 +287,7 @@ def test_merge_stats_sums_counters_and_recomputes_means():
             "buckets": {"le_1": 1, "le_inf": 2},
             "sum": 3.0, "count": 2, "mean": 1.5}},
         "registry": {"startup_scan": {"clean": True}},
+        "grammar_table": {"entries": 1, "hits": 3, "misses": 1},
     }
     b = {
         "uptime_seconds": 4.0,
@@ -297,6 +298,7 @@ def test_merge_stats_sums_counters_and_recomputes_means():
             "buckets": {"le_1": 4, "le_inf": 4},
             "sum": 4.0, "count": 4, "mean": 1.0}},
         "registry": {"startup_scan": {"clean": False}},
+        "grammar_table": {"entries": 2, "hits": 5, "misses": 2},
     }
     merged = merge_stats([a, b])
     assert merged["uptime_seconds"] == 10.0  # max, not sum
@@ -309,6 +311,9 @@ def test_merge_stats_sums_counters_and_recomputes_means():
     assert batch["mean"] == pytest.approx(7.0 / 6)  # recomputed
     # one dirty worker dirties the fleet
     assert merged["registry"]["startup_scan"]["clean"] is False
+    # each worker holds its own grammar table: the fleet's is their sum
+    assert merged["grammar_table"] == {"entries": 3, "hits": 8,
+                                       "misses": 3}
     assert merge_stats([]) == {}
 
 

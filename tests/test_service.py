@@ -11,16 +11,27 @@ import json
 import socket
 import struct
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro
+from repro.core.program import GrammarProgram, program_for
+from repro.interp.interp2 import Interpreter2
+from repro.interp.runtime import run_program
 from repro.minic import compile_source
 from repro.registry import GrammarRegistry
 from repro.service import CompressionService, ServiceClient, ServiceError
 from repro.service import protocol
-from repro.storage import save_grammar, save_module
+from repro.storage import (
+    load_compressed,
+    save_compressed,
+    save_grammar,
+    save_module,
+)
+
+from tests.test_rcx2_malformed import _reseal
 
 APP = """
 int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
@@ -469,3 +480,88 @@ def test_rcx2_model_missing_is_structured_and_retryable(harness,
         # the same request against the trained grammar succeeds
         assert client.compress(artifacts["app_bytes"], "prod",
                                format="rcx2")[:4] == b"RCX2"
+
+
+# -- the grammar table: one decode per container grammar per service ---------
+
+def _containers(artifacts):
+    """The app's RCX1 and RCX2 containers, compressed in process (so the
+    registry grammar's program stays out of the build counts)."""
+    cmod = repro.compress_module(artifacts["grammar"], artifacts["app"])
+    return cmod, save_compressed(cmod), save_compressed(cmod,
+                                                        format="rcx2")
+
+
+def test_grammar_table_builds_each_grammar_once_per_service(tmp_path,
+                                                            artifacts):
+    """Twelve compiled runs and decompressions of one grammar's RCX1 and
+    RCX2 containers build its program once; a second service starts
+    cold and builds it again."""
+    cmod, rcx1, rcx2 = _containers(artifacts)
+    expected_run = run_program(cmod, Interpreter2(cmod))
+    key = program_for(load_compressed(rcx1).grammar).content_key
+    before = GrammarProgram.constructions[key]
+    h = _Harness(tmp_path / "one")
+    try:
+        with h.client() as client:
+            for i in range(6):
+                for data in (rcx1, rcx2):
+                    if i % 2:
+                        assert client.decompress(data) == \
+                            artifacts["app_bytes"]
+                    else:
+                        assert client.run_compressed(data) == expected_run
+            stats = client.stats()
+    finally:
+        h.close()
+    assert GrammarProgram.constructions[key] == before + 1
+    assert stats["grammar_table"] == {"entries": 1, "hits": 11,
+                                      "misses": 1}
+
+    h = _Harness(tmp_path / "two")
+    try:
+        with h.client() as client:
+            assert client.run_compressed(rcx2) == expected_run
+    finally:
+        h.close()
+    assert GrammarProgram.constructions[key] == before + 2
+
+
+def _flip(data: bytes, pos: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ 0x01]) + data[pos + 1:]
+
+
+def test_rejected_containers_leave_grammar_table_unchanged(harness,
+                                                           artifacts):
+    cmod, rcx1, rcx2 = _containers(artifacts)
+    # RCX2 tail: payload CRC (u32), stream blob (u32 length + bytes),
+    # file trailer
+    crc = 0
+    for proc in cmod.procedures:
+        crc = zlib.crc32(proc.code, crc)
+    crc_at = rcx2.rindex(struct.pack("<I", crc))
+    (stream_len,) = struct.unpack_from("<I", rcx2, crc_at + 4)
+    assert crc_at + 8 + stream_len + 4 == len(rcx2)
+    bad = [
+        _flip(rcx1, len(rcx1) // 2),
+        # the model's binding digest no longer names this grammar
+        _reseal(_flip(rcx2, rcx2.index(b"RMD1") + 5)),
+        # the stream decodes, but not to the declared payload
+        _reseal(_flip(rcx2, crc_at)),
+    ]
+    with harness.client() as client:
+        assert client.decompress(rcx2) == artifacts["app_bytes"]
+        table = client.stats()["grammar_table"]
+        assert table == {"entries": 1, "hits": 0, "misses": 1}
+        for data in bad:
+            with pytest.raises(ServiceError) as err:
+                client.run_compressed(data)
+            assert err.value.code == protocol.E_BAD_REQUEST
+            with pytest.raises(ServiceError) as err:
+                client.decompress(data)
+            assert err.value.code == protocol.E_BAD_REQUEST
+        assert client.stats()["grammar_table"] == table
+        assert client.run_compressed(rcx1) == \
+            run_program(cmod, Interpreter2(cmod))
+        assert client.stats()["grammar_table"] == \
+            {"entries": 1, "hits": 1, "misses": 1}
