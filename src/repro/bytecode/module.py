@@ -164,11 +164,3 @@ class Module:
     def concatenated_code(self) -> bytes:
         """All procedures' bytecode, concatenated (the compressor's input)."""
         return b"".join(p.code for p in self.procedures)
-
-    def opcode_histogram(self) -> Dict[str, int]:
-        """Operator frequencies over the whole module (for baselines)."""
-        hist: Dict[str, int] = {}
-        for p in self.procedures:
-            for _, ins in iter_decode(p.code):
-                hist[ins.op.name] = hist.get(ins.op.name, 0) + 1
-        return hist

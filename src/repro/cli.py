@@ -354,9 +354,6 @@ def _cmd_registry(args) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
             if not (report["clean"] or report.get("repaired")):
                 return 1
-        elif args.registry_command == "gc":
-            swept = registry.gc()
-            print(json.dumps(swept, indent=2, sort_keys=True))
         else:  # list
             tags = registry.tags()
             for record in registry.list():
@@ -604,8 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="integrity scan: re-hash objects, check tags")
     rp.add_argument("--repair", action="store_true",
                     help="quarantine corrupt objects, rebuild missing "
-                         "metadata, drop dangling tags")
-    rsub.add_parser("gc", help="sweep temp debris and orphaned metadata")
+                         "metadata, drop dangling tags and orphan "
+                         "metadata, reap temp files")
     p.set_defaults(fn=_cmd_registry)
 
     from .service.protocol import DEFAULT_PORT

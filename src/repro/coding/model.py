@@ -196,10 +196,6 @@ class RuleModel:
 
     # -- coding -------------------------------------------------------------
 
-    def context_size(self, ctx: int) -> int:
-        """Symbols in context ``ctx`` (rules, plus EOS for <start>)."""
-        return len(self.priors[ctx])
-
     def coder(self) -> "StreamCoder":
         """Fresh adaptive coding state seeded from this model's priors.
         One per stream, per direction — the state mutates as it codes."""

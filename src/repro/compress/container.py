@@ -33,7 +33,7 @@ stay correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..bytecode.module import (
     DESCRIPTOR_BYTES,
@@ -43,6 +43,7 @@ from ..bytecode.module import (
     GlobalEntry,
     Module,
 )
+from ..coding.model import RuleModel
 from ..grammar.cfg import Grammar
 
 __all__ = [
@@ -89,7 +90,14 @@ class CompressedProcedure:
 class CompressedModule:
     """A whole program in compressed form, plus the grammar that decodes
     it (the grammar lives in the interpreter; it is counted there, not
-    here — see :mod:`repro.interp.sizes`)."""
+    here — see :mod:`repro.interp.sizes`).
+
+    ``model`` is the rule model an RCX2 container's stream was coded
+    with, set by the RCX2 loader so the module re-saves as RCX2
+    byte-identically; ``None`` means the grammar's own (trained) model.
+    It takes no part in equality: RCX1 and RCX2 loads of one module
+    compare equal.
+    """
 
     grammar: Grammar
     procedures: List[CompressedProcedure] = field(default_factory=list)
@@ -97,6 +105,7 @@ class CompressedModule:
     data: bytes = b""
     bss_size: int = 0
     entry: int = None
+    model: Optional[RuleModel] = field(default=None, compare=False)
 
     @classmethod
     def like(cls, grammar: Grammar, module: Module) -> "CompressedModule":

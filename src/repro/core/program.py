@@ -43,12 +43,13 @@ their content — and therefore their codewords and compressed output —
 is identical), so sharing a program across instances would silently
 mis-tile.  ``content_key`` is the instance-independent SHA-256 of the
 grammar's full structure (names, rules, provenance over canonical
-ordinals); the registry keys its LRU by the RGR1 digest and keeps one
-grammar instance per digest, which together give "one construction per
-grammar hash per process" — asserted by tests against
-:data:`GrammarProgram.constructions`.  Container loads get the same
-guarantee per owner from :class:`repro.storage.GrammarTable`, which
-hands every load of one grammar blob the same decoded instance.
+ordinals).  A decoded grammar lives with its owner, which keeps one
+instance per grammar and so gets one construction per grammar: the
+service keeps each registered grammar in that grammar's compressor, and
+container loads go through the owner's
+:class:`repro.storage.GrammarTable`, which hands every load of one
+grammar blob the same decoded instance.  Tests assert this against
+:data:`GrammarProgram.constructions`.
 
 Mutation
 --------
@@ -271,7 +272,7 @@ class GrammarProgram:
     """
 
     #: constructions per ``content_key`` — the process-wide evidence that
-    #: a grammar's program is built at most once per hash (tested).
+    #: a grammar's program is built once per owner (tested).
     constructions: "Counter[str]" = Counter()
 
     def __init__(self, grammar: Grammar) -> None:

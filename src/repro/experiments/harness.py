@@ -18,7 +18,6 @@ from ..baselines.superop import train_superoperators
 from ..baselines.tunstall import build_code as build_tunstall
 from ..baselines.tunstall import compressed_size_blocks
 from ..bytecode.module import Module
-from ..coding.model import attach_counts
 from ..compress.compressor import Compressor
 from ..corpus import GCCLIKE_SCALE, compiled_corpus
 from ..grammar.cfg import Grammar
@@ -27,6 +26,7 @@ from ..grammar.serialize import grammar_bytes
 from ..interp.sizes import InterpreterSizes, measure_sizes
 from ..native.x86 import module_native_size
 from ..parsing.stackparser import build_forest
+from ..pipeline import train_grammar
 from ..training import TRAINERS
 from ..training.expander import TrainingReport, expand_grammar
 
@@ -81,11 +81,8 @@ def trained(train_on: Tuple[str, ...], *, scale: int = GCCLIKE_SCALE,
         grammar = typed_grammar(cap)
     else:
         grammar = initial_grammar(cap)
-    forest = build_forest(grammar, modules)
-    report = expand_grammar(grammar, forest, min_count=min_count,
-                            remove_subsumed=remove_subsumed)
-    attach_counts(grammar, forest, modules)
-    return grammar, report
+    return train_grammar(modules, grammar=grammar, min_count=min_count,
+                         remove_subsumed=remove_subsumed)
 
 
 @lru_cache(maxsize=128)
@@ -345,8 +342,6 @@ def trainer_compare_rows(train_on: Tuple[str, ...] = ("gcc",), *,
     Uncached on purpose: the wall-time columns gate the hybrid
     trainer's <= 1.5x-of-greedy budget, and timings should be fresh.
     """
-    from ..pipeline import train_grammar
-
     modules = [corpus(scale)[name] for name in train_on]
     rows = []
     for strategy in strategies:

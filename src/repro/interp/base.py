@@ -35,17 +35,6 @@ Handler = Callable[[IState, "object", Tuple[int, ...]], None]
 HANDLERS: Dict[int, Handler] = {}
 
 
-def _u16(operands: Tuple[int, ...]) -> int:
-    return operands[0] | (operands[1] << 8)
-
-
-def _lit_value(operands: Tuple[int, ...]) -> int:
-    value = 0
-    for i, b in enumerate(operands):
-        value |= b << (8 * i)
-    return value
-
-
 def _register(name: str, fn: Handler) -> None:
     HANDLERS[OP_BY_NAME[name].code] = fn
 

@@ -13,10 +13,10 @@ This module moves the blast radius into a disposable helper::
     supervisor (service worker)          helper (this module, -m)
     ---------------------------          -------------------------
     NativeSandbox.run(container, ...) ->  length-prefixed pickle
-        watchdog on the reply read        NativeEngine per container
-                                          digest (small LRU; grammars
-                                          decoded once per helper),
-                                          runs it,
+        watchdog on the reply read        loads the container through
+                                          its grammar table (grammars
+                                          decoded once per helper), a
+                                          new NativeEngine runs it,
     NativeRun | the engine's own      <-  pickles the result or the
     exception, re-raised intact           exception back
 
@@ -63,7 +63,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -82,9 +81,6 @@ __all__ = [
 
 _HDR = struct.Struct(">I")
 _MAX_FRAME = 1 << 30
-
-#: helper-side engine LRU: distinct containers kept warm per helper
-_ENGINE_CACHE_SIZE = 8
 
 #: how long an injected hang sleeps when the rule gives no ``arg`` —
 #: far past any plausible watchdog, never literally forever
@@ -289,7 +285,7 @@ class NativeSandbox:
 
     def run(self, container: bytes, int_args: Sequence[int] = (),
             input_data: bytes = b"", *, budget: int = 0,
-            heap_size: int = 1 << 20, want_memory: bool = False,
+            want_memory: bool = False,
             timeout: Optional[float] = None,
             content_key: str = "") -> NativeRun:
         """Run ``container`` (serialized compressed module) natively.
@@ -306,7 +302,6 @@ class NativeSandbox:
             "args": tuple(int(a) for a in int_args),
             "input": input_data,
             "budget": int(budget or 0),
-            "heap_size": int(heap_size),
             "want_memory": bool(want_memory),
         }
         plane = faults.ACTIVE
@@ -389,31 +384,20 @@ def _h_write_frame(fh, obj) -> None:
     fh.flush()
 
 
-def _h_engine(req, engines: "OrderedDict", cache, grammars):
-    """The helper's per-container engine LRU (keyed content+heap).  A
-    miss loads through the helper's grammar table, so a grammar is
-    decoded and its engine program built once per helper, however many
-    of its containers pass through the LRU."""
+def _h_engine(container: bytes, cache, grammars):
+    """A new engine for one request's container, loaded through the
+    helper's grammar table: each grammar is decoded, and its compiled
+    engine loaded, once per helper; loading the container and
+    marshalling its module are per request."""
     from .native import NativeEngine
     from ..storage import load_any
 
-    key = (hashlib.sha256(req["container"]).hexdigest(),
-           int(req["heap_size"]))
-    engine = engines.get(key)
-    if engine is None:
-        program = load_any(req["container"], grammars)
-        if not hasattr(program, "grammar"):
-            raise ValueError(
-                "sandbox runs compressed containers only "
-                "(got an uncompressed module)")
-        engine = NativeEngine(program, cache=cache,
-                              heap_size=int(req["heap_size"]))
-        engines[key] = engine
-        while len(engines) > _ENGINE_CACHE_SIZE:
-            engines.popitem(last=False)
-    else:
-        engines.move_to_end(key)
-    return engine
+    program = load_any(container, grammars)
+    if not hasattr(program, "grammar"):
+        raise ValueError(
+            "sandbox runs compressed containers only "
+            "(got an uncompressed module)")
+    return NativeEngine(program, cache=cache)
 
 
 def _helper_main(argv) -> int:
@@ -427,7 +411,6 @@ def _helper_main(argv) -> int:
     if argv:
         from .nativebuild import NativeBuildCache
         cache = NativeBuildCache(Path(argv[0]))
-    engines: "OrderedDict" = OrderedDict()
     grammars = GrammarTable()
     _h_write_frame(stdout, {"ready": True, "pid": os.getpid()})
     while True:
@@ -443,7 +426,7 @@ def _helper_main(argv) -> int:
         if req.get("hang"):
             time.sleep(float(req["hang"]))  # supervisor SIGKILLs us
         try:
-            run = _h_engine(req, engines, cache, grammars).run(
+            run = _h_engine(req["container"], cache, grammars).run(
                 *req["args"], input_data=req["input"],
                 budget=req["budget"])
             reply = {

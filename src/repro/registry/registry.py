@@ -1,4 +1,4 @@
-"""Content-addressed grammar store with tags and a deserialization LRU.
+"""Content-addressed grammar store with tags.
 
 On-disk layout (all writes are atomic tmp-file + rename, fsynced)::
 
@@ -21,24 +21,22 @@ Durability and self-healing
 Writes are crash-consistent: the temp file is fsynced before the rename
 and the directory after it, and a ``put`` writes provenance *before* the
 object so a crash between the two leaves an invisible orphan (reaped by
-:meth:`GrammarRegistry.gc`), never a half-visible grammar.  Reads are
-verifying: object bytes are re-hashed against their name on every cold
-read, and a mismatch (bit rot, torn write that somehow landed) moves the
+``verify(repair=True)``), never a half-visible grammar.  Reads are
+verifying: object bytes are re-hashed against their name on every read,
+and a mismatch (bit rot, torn write that somehow landed) moves the
 object to ``objects/quarantine/`` and raises a structured
 :class:`RegistryError` instead of serving corrupt bytes.  A tag pointing
 at a missing object is a structured error too, never a raw
 ``FileNotFoundError``.  :meth:`GrammarRegistry.verify` is the full
-integrity scan (the service runs it at startup); :meth:`gc` reaps temp
-files, orphan metadata, and dangling tags.
+integrity scan; with ``repair=True`` (the service's startup scan) it
+also quarantines corruption, regenerates metadata and reaps temp files,
+orphan metadata and dangling tags.
 
-The deserialization LRU holds precompiled
-:class:`~repro.core.program.GrammarProgram` objects (not raw grammars):
-one parse *and* one program construction per digest, so concurrent
-requests against the same codebook share the program's codeword tables,
-prediction sets, fragment index, and every artifact hung off it
-(interpreter tables, batching, breakers, derivation caches) — the
-service keeps one registry and hits the cache on every request after
-the first.
+The registry keeps no decoded grammars: every :meth:`~GrammarRegistry.get`
+and :meth:`~GrammarRegistry.program` parses the object afresh.  A
+decoded grammar lives with its owner — the service keeps one
+:class:`~repro.compress.compressor.Compressor` per grammar for its
+lifetime — so each owner parses a grammar once.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -163,20 +159,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
 class GrammarRegistry:
     """See module docstring.  Safe for concurrent use from threads."""
 
-    def __init__(self, root, *, cache_size: int = 8) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self._objects = self.root / "objects"
         self._meta = self.root / "meta"
         self._tags = self.root / "tags"
         for d in (self._objects, self._meta, self._tags):
             d.mkdir(parents=True, exist_ok=True)
-        if cache_size <= 0:
-            raise ValueError("cache_size must be positive")
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[str, GrammarProgram]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def quarantine_dir(self) -> Path:
@@ -251,16 +240,13 @@ class GrammarRegistry:
                 "model": getattr(grammar, COUNTS_ATTR, None) is not None,
             })
             # Provenance lands before the object: an interrupted put
-            # leaves an invisible orphan meta (reaped by gc), never an
-            # object whose metadata is missing.
+            # leaves an invisible orphan meta (reaped by a repairing
+            # verify), never an object whose metadata is missing.
             _atomic_write(self._meta / f"{digest}.json",
                           json.dumps(record, indent=1).encode())
             _atomic_write(obj_path, data)
         for tag in tags:
             self.tag(digest, tag)
-        program = program_for(grammar)
-        with self._lock:
-            self._cache_put(digest, program)
         return digest
 
     def tag(self, ref: str, name: str) -> str:
@@ -326,39 +312,23 @@ class GrammarRegistry:
         return self._object_bytes(self.resolve(ref))
 
     def get(self, ref: str) -> Grammar:
-        """Deserialized grammar, served from the LRU when warm."""
-        return self.program(ref).grammar
-
-    def program(self, ref: str) -> GrammarProgram:
-        """The grammar's precompiled program, served from the LRU.
-
-        One parse and one :class:`GrammarProgram` construction per
-        digest per cache lifetime — every consumer of this registry
-        (service workers, the CLI, decompression) shares the same
-        program instance and everything derived from it.
-        """
+        """A freshly parsed grammar: a verified read, then
+        ``load_grammar``.  An object that fails to parse is
+        quarantined."""
         digest = self.resolve(ref)
-        with self._lock:
-            cached = self._cache.get(digest)
-            if cached is not None:
-                self._cache.move_to_end(digest)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        # Parse outside the lock: deserialization is the slow part and
-        # must not serialize concurrent readers of *other* grammars.
         data = self._object_bytes(digest)
         try:
-            grammar = load_grammar(data)
+            return load_grammar(data)
         except (StorageError, ValueError) as exc:
             self._quarantine(digest, f"invalid RGR1: {exc}")
             raise RegistryError(
                 f"grammar {digest[:12]} failed to parse ({exc}); "
                 f"quarantined") from None
-        program = program_for(grammar)
-        with self._lock:
-            self._cache_put(digest, program)
-        return program
+
+    def program(self, ref: str) -> GrammarProgram:
+        """The precompiled program of a freshly parsed grammar (see
+        :meth:`get`); the caller owns it for as long as it needs it."""
+        return program_for(self.get(ref))
 
     def meta(self, ref: str) -> Dict:
         digest = self.resolve(ref)
@@ -419,11 +389,10 @@ class GrammarRegistry:
         except RegistryError:
             return False
 
-    # -- integrity: quarantine, verify, gc ----------------------------------
+    # -- integrity: quarantine, verify -------------------------------------
 
     def _quarantine(self, digest: str, reason: str) -> None:
-        """Move ``digest``'s object (and meta) aside; evict it from the
-        LRU so the corruption can't be papered over by a warm cache."""
+        """Move ``digest``'s object (and meta) aside."""
         qdir = self.quarantine_dir
         qdir.mkdir(exist_ok=True)
         obj_path = self._objects / f"{digest}.rgr"
@@ -435,8 +404,6 @@ class GrammarRegistry:
                 os.replace(meta_path, qdir / meta_path.name)
         with contextlib.suppress(OSError):
             (qdir / f"{digest}.reason").write_text(reason + "\n")
-        with self._lock:
-            self._cache.pop(digest, None)
 
     def verify(self, *, repair: bool = False) -> Dict:
         """Full integrity scan; with ``repair`` it also heals.
@@ -533,39 +500,11 @@ class GrammarRegistry:
         report["repaired"] = repair
         return report
 
-    def gc(self) -> Dict[str, int]:
-        """Reap crash debris: temp files from interrupted writes, orphan
-        metadata (meta without its object), and dangling tags."""
-        removed = {"tmp_files": 0, "orphan_meta": 0, "dangling_tags": 0}
-        for d in (self._objects, self._meta, self._tags):
-            for tmp in d.glob("*.tmp.*"):
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-                    removed["tmp_files"] += 1
-        for mpath in self._meta.glob("*.json"):
-            if not (self._objects / f"{mpath.stem}.rgr").exists():
-                with contextlib.suppress(OSError):
-                    mpath.unlink()
-                    removed["orphan_meta"] += 1
-        for tpath in list(self._tags.iterdir()):
-            if not tpath.is_file() or tpath.name.startswith(".") \
-                    or ".tmp." in tpath.name:
-                continue
-            target = tpath.read_text().strip()
-            if not _HASH_RE.match(target) \
-                    or not (self._objects / f"{target}.rgr").exists():
-                with contextlib.suppress(OSError):
-                    tpath.unlink()
-                    removed["dangling_tags"] += 1
-        return removed
-
     def startup_scan(self) -> Dict:
         """The self-healing pass a long-lived service runs before
         serving: quarantine corruption, regenerate metadata, drop
-        dangling tags, and reap crash debris."""
-        report = self.verify(repair=True)
-        report["gc"] = self.gc()
-        return report
+        dangling tags and orphan metadata, and reap temp files."""
+        return self.verify(repair=True)
 
     # -- poison quarantine --------------------------------------------------
     #
@@ -624,20 +563,3 @@ class GrammarRegistry:
                 records.append(json.loads(path.read_text()))
         records.sort(key=lambda r: r.get("recorded") or 0)
         return records
-
-    # -- LRU ----------------------------------------------------------------
-
-    def _cache_put(self, digest: str, program: GrammarProgram) -> None:
-        self._cache[digest] = program
-        self._cache.move_to_end(digest)
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-
-    def cache_info(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "entries": len(self._cache),
-                "capacity": self._cache_size,
-            }

@@ -86,12 +86,6 @@ class CircuitBreaker:
                 return True
             return False
 
-    def is_open(self, key: str) -> bool:
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None \
-                and self._state_locked(entry) != "closed"
-
     def snapshot(self) -> Dict[str, Dict]:
         """Per-key state for the stats endpoint (keys truncated by the
         caller if desired)."""

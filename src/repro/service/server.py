@@ -408,9 +408,9 @@ class CompressionService(FrameServer):
         async with self._worker_lock:
             worker = self._workers.get(digest)
             if worker is None:
-                # One precompiled program per digest: the worker's
-                # compressor, batching, and derivation cache all hang
-                # off the registry's shared GrammarProgram instance.
+                # One parse and one precompiled program per digest per
+                # service: the worker's compressor, batching and
+                # derivation cache all hang off this GrammarProgram.
                 program = await self._in_executor(
                     self.registry.program, digest)
                 worker = _GrammarWorker(
@@ -441,10 +441,7 @@ class CompressionService(FrameServer):
             }
             for digest, worker in self._workers.items()
         }
-        snap["registry"] = {
-            "grammars": len(self.registry),
-            "lru": self.registry.cache_info(),
-        }
+        snap["registry"] = {"grammars": len(self.registry)}
         snap["grammar_table"] = self.grammars.stats()
         if self.startup_report is not None:
             snap["registry"]["startup_scan"] = scan_summary(

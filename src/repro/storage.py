@@ -11,7 +11,9 @@ Four self-describing formats, all little-endian:
   grammar *and* rule-frequency model embedded, labels stored as block
   indices, and all procedure bodies range-coded into one stream.  It
   loads to the exact same in-memory :class:`CompressedModule` as RCX1,
-  so everything downstream of :func:`load_compressed` is format-blind.
+  so everything downstream of :func:`load_compressed` is format-blind;
+  the loaded module also carries the rule model its stream was coded
+  with (``model``), so it re-saves as RCX2 byte-identically.
 * ``RGR1`` — a stand-alone trained grammar, for the train-once /
   compress-many workflow of the CLI.  Grammars trained since models
   exist carry an optional trailing section with the raw rule-frequency
@@ -21,7 +23,8 @@ Four self-describing formats, all little-endian:
 Strings are UTF-8 with a 2-byte length; offsets/sizes are u32.  Every
 loader validates magic and trailing bytes, and the module loader runs the
 bytecode validator, so a corrupted file fails loudly rather than
-misexecuting.
+misexecuting.  An embedded grammar blob (RCX1, RCX2, RGR1) must be in
+the compact encoding every writer produces.
 
 Writers append a CRC-32 trailer (4 bytes, little-endian, over magic +
 body) so bit rot is detected before the structural validators run, and
@@ -260,7 +263,9 @@ def save_compressed(cmod: CompressedModule,
     """Serialize a compressed module.
 
     ``format="rcx1"`` is the paper's one-byte-per-step container;
-    ``"rcx2"`` entropy-codes the derivation bytes against the grammar's
+    ``"rcx2"`` entropy-codes the derivation bytes against
+    ``cmod.model`` (set on every module loaded from RCX2, so it re-saves
+    byte-identically), else against the grammar's
     :class:`~repro.coding.model.RuleModel` (raising
     :class:`~repro.coding.model.ModelMissingError` when the grammar was
     trained before models existed).  Both load back byte-identically
@@ -294,7 +299,7 @@ def _save_compressed2(cmod: CompressedModule) -> bytes:
     the block starts it observes while decoding.
     """
     program = program_for(cmod.grammar)
-    model = model_for(program)  # ModelMissingError when untrained
+    model = cmod.model or model_for(program)  # ModelMissingError if none
     w = _Writer()
     w.out.extend(_MAGIC_COMPRESSED2)
     w.u8(RCX2_VERSION)
@@ -333,19 +338,25 @@ def _save_compressed2(cmod: CompressedModule) -> bytes:
 #: :class:`GrammarTable` keeps: the bound of ``program_for``'s cache
 GRAMMAR_TABLE_SIZE = 16
 
+#: the grammar encoding every container and RGR1 file embeds (the
+#: compact one, whose SHA-256 is the grammar's ``compact_key``)
+_MAGIC_GRAMMAR_BLOB = b"EG1C"
+
 
 class GrammarTable:
     """One owner's decoded container grammars, keyed by content.
 
     In the paper the grammar lives in the interpreter: its rule tables
-    are built once and serve every program it runs.  A long-lived owner
-    of container loads (the service, the native sandbox's helper)
-    passes its table to :func:`load_compressed` or :func:`load_any`.  A
-    container whose grammar blob and nonterminal names match an earlier
-    clean load gets that load's :class:`Grammar` instance back, and
-    with it the instance-keyed ``program_for`` program and every table
-    derived from it.  The key's digest, the SHA-256 of the grammar
-    blob, is also what an RCX2 model binding must equal.
+    are built once and serve every program it runs.  Every container
+    load goes through a table.  A long-lived owner of container loads
+    (the service, the native sandbox's helper) passes its own to
+    :func:`load_compressed` or :func:`load_any`; any other caller gets
+    a fresh private one per load.  A container whose grammar blob and
+    nonterminal names match an earlier clean load gets that load's
+    :class:`Grammar` instance back, and with it the instance-keyed
+    ``program_for`` program and every table derived from it.  The key's
+    digest, the SHA-256 of the grammar blob, is also what an RCX2 model
+    binding must equal.
 
     A hit skips ``decode_grammar`` only (and, for RCX2, building the
     :class:`RuleModel` of a model blob already bound to the grammar);
@@ -353,9 +364,9 @@ class GrammarTable:
     interned only after their whole container has loaded, so a rejected
     container changes neither the entries nor ``hits``/``misses``.
     Interned grammars are shared across requests and threads, so a load
-    through a table never attaches counts to one or primes its model
-    memo.  Thread-safe; an LRU of :data:`GRAMMAR_TABLE_SIZE` grammars,
-    and as many models.
+    never attaches counts to one or primes its model memo: an RCX2
+    load's model rides on the loaded module instead.  Thread-safe; an
+    LRU of :data:`GRAMMAR_TABLE_SIZE` grammars, and as many models.
     """
 
     def __init__(self) -> None:
@@ -370,9 +381,14 @@ class GrammarTable:
             return {"entries": len(self._grammars), "hits": self.hits,
                     "misses": self.misses}
 
-    def _grammar(self, key: tuple) -> Optional[Grammar]:
+    def _grammar(self, key: tuple, gblob: bytes) -> Grammar:
+        """The interned instance for ``key``, else a fresh decode
+        (interned only by its load's :meth:`_commit`)."""
         with self._lock:
-            return self._grammars.get(key)
+            grammar = self._grammars.get(key)
+        if grammar is None:
+            grammar = _decode_grammar_blob(gblob, list(key[1]))
+        return grammar
 
     def _model(self, key: tuple) -> Optional[RuleModel]:
         with self._lock:
@@ -405,14 +421,13 @@ def _grammar_key(gblob: bytes, names: List[str]) -> tuple:
     return (hashlib.sha256(gblob).digest(), tuple(names))
 
 
-def _decode(key: tuple, gblob: bytes,
-            grammars: Optional[GrammarTable]) -> Grammar:
-    """A container's grammar: the table's instance for ``key``, else a
-    fresh decode (interned only by its load's ``_commit``)."""
-    grammar = grammars._grammar(key) if grammars is not None else None
-    if grammar is None:
-        grammar = decode_grammar(gblob, nt_names=list(key[1]))
-    return grammar
+def _decode_grammar_blob(gblob: bytes, names: List[str]) -> Grammar:
+    """Decode an embedded grammar blob, which must be in the compact
+    encoding: the only one any writer embeds."""
+    if gblob[:4] != _MAGIC_GRAMMAR_BLOB:
+        raise StorageError(
+            "embedded grammar is not in the compact (EG1C) encoding")
+    return decode_grammar(gblob, nt_names=names)
 
 
 def load_compressed(data: bytes,
@@ -421,8 +436,10 @@ def load_compressed(data: bytes,
     """Load either compressed-module container (dispatch on magic).
 
     ``grammars`` is the caller's :class:`GrammarTable`; without one,
-    every load decodes a grammar of its own.
+    the load goes through a fresh private table (and so decodes a
+    grammar of its own).
     """
+    grammars = grammars or GrammarTable()
     if data[:4] == _MAGIC_COMPRESSED2:
         return _load_compressed2(data, grammars)
     if data[:4] != _MAGIC_COMPRESSED:
@@ -431,7 +448,7 @@ def load_compressed(data: bytes,
     names = _read_nt_names(r)
     gblob = r.blob()
     key = _grammar_key(gblob, names)
-    grammar = _decode(key, gblob, grammars)
+    grammar = grammars._grammar(key, gblob)
     shared = _read_shared(r)
     procs = []
     for _ in range(r.u16()):
@@ -440,14 +457,12 @@ def load_compressed(data: bytes,
         procs.append(CompressedProcedure(block_starts=block_starts,
                                          **common))
     _finish(r, data)
-    if grammars is not None:
-        grammars._commit(key, grammar)
+    grammars._commit(key, grammar)
     return CompressedModule(grammar=grammar, procedures=procs, **shared)
 
 
 def _load_compressed2(data: bytes,
-                      grammars: Optional[GrammarTable] = None,
-                      ) -> CompressedModule:
+                      grammars: GrammarTable) -> CompressedModule:
     # The CRC-32 trailer is verified before any field is parsed — bit
     # rot anywhere in the file fails loudly here instead of surfacing as
     # a deep parse error from the grammar or model decoders.
@@ -463,7 +478,7 @@ def _load_compressed2(data: bytes,
     names = _read_nt_names(r)
     gblob = r.blob()
     key = _grammar_key(gblob, names)
-    grammar = _decode(key, gblob, grammars)
+    grammar = grammars._grammar(key, gblob)
     mblob = r.blob()
     shared = _read_shared(r)
     specs = []
@@ -490,23 +505,16 @@ def _load_compressed2(data: bytes,
             "model/grammar content-key mismatch (the embedded model "
             "was trained for a different grammar)")
     program = program_for(grammar)
-    # A table's grammar may be shared: its model stays with this load,
-    # found again only by the same grammar and model blob.
+    # A table's grammar may be shared: its model stays with this load
+    # (on the loaded module), found again only by the same grammar and
+    # model blob.
     model_key = (key, hashlib.sha256(mblob).digest())
-    model = grammars._model(model_key) if grammars is not None else None
+    model = grammars._model(model_key)
     if model is None:
         try:
             model = RuleModel(program, counts, eos_count, binding=binding)
         except ValueError as exc:
             raise ContainerError(f"bad embedded model: {exc}") from None
-    if grammars is None:
-        # Re-attach the counts (and prime the model memo) so a loaded
-        # module can be re-saved as RCX2 and its grammar drives coding
-        # stats, exactly like a freshly trained one.
-        setattr(grammar, COUNTS_ATTR,
-                {"rules": [list(row) for row in model.counts],
-                 "eos": model.eos_count})
-        program.derived("coding.model", lambda: model)
 
     decoded = decode_module_streams(program, model,
                                     [s[6] for s in specs], stream)
@@ -532,9 +540,9 @@ def _load_compressed2(data: bytes,
     if crc != payload_crc:
         raise ContainerError(
             "decoded payload CRC-32 mismatch (corrupt coded stream)")
-    if grammars is not None:
-        grammars._commit(key, grammar, model_key, model)
-    return CompressedModule(grammar=grammar, procedures=procs, **shared)
+    grammars._commit(key, grammar, model_key, model)
+    return CompressedModule(grammar=grammar, procedures=procs,
+                            model=model, **shared)
 
 
 # -- grammars ---------------------------------------------------------------------
@@ -614,7 +622,7 @@ def load_grammar(data: bytes) -> Grammar:
     r = _Reader(data[4:])
     names = _read_nt_names(r)
     gblob = r.blob()
-    grammar = decode_grammar(gblob, nt_names=names)
+    grammar = _decode_grammar_blob(gblob, names)
     # Re-attach provenance.  decode_grammar marked every rule original;
     # rebuild each rule with its true origin and fragment so the tiling
     # compressor works on loaded grammars.  This mutates rules in place
@@ -655,7 +663,7 @@ def load_grammar(data: bytes) -> Grammar:
 def load_any(data: bytes, grammars: Optional[GrammarTable] = None,
              ) -> Union[Module, CompressedModule]:
     """Dispatch on magic: module or compressed module (either format,
-    through ``grammars`` when given; see :func:`load_compressed`)."""
+    through ``grammars`` or a fresh table; see :func:`load_compressed`)."""
     if data[:4] == _MAGIC_MODULE:
         return load_module(data)
     if data[:4] in (_MAGIC_COMPRESSED, _MAGIC_COMPRESSED2):

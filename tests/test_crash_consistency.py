@@ -3,8 +3,8 @@
 The central invariant: a crash at *any* point inside a registry write
 leaves the store in the old state or the new state — never a torn,
 half-visible one — and a subsequent ``startup_scan`` (= the service's
-boot pass, = ``repro registry verify --repair`` + ``gc``) returns the
-store to a clean bill of health without losing any intact grammar.
+boot pass, = ``repro registry verify --repair``) returns the store to a
+clean bill of health without losing any intact grammar.
 
 Faults are injected with ``repro.faults``: the atomic-write primitive
 exposes a site at every distinct failure window (payload corruption,
@@ -49,7 +49,7 @@ def _no_leaked_plane():
 def _healthy(root, grammar_data, digest=None):
     """Assert the registry at ``root`` heals to a clean state and any
     surviving copy of the grammar is byte-intact."""
-    registry = GrammarRegistry(root)  # fresh open: no warm cache
+    registry = GrammarRegistry(root)  # fresh open
     report = registry.startup_scan()
     assert registry.verify()["clean"], report
     if digest is not None and digest in registry:
@@ -139,15 +139,15 @@ def test_torn_write_leaves_reapable_temp_file(tmp_path, grammar_data):
             registry.put_bytes(grammar_data)
     report = registry.verify()
     assert report["tmp_files"] and not report["clean"]
-    assert registry.gc()["tmp_files"] == len(report["tmp_files"])
+    assert registry.verify(repair=True)["tmp_files"] == report["tmp_files"]
     assert registry.verify()["clean"]
 
 
 def test_orphan_meta_from_pre_rename_crash_is_reaped(tmp_path,
                                                      grammar_data):
     """put writes metadata before the object, so a crash between the two
-    leaves an invisible orphan record — gc's job, never a visible
-    half-grammar."""
+    leaves an invisible orphan record — a repairing verify's job, never
+    a visible half-grammar."""
     registry = GrammarRegistry(tmp_path)
     with faults.injected(
             {"seed": 0,
@@ -156,7 +156,7 @@ def test_orphan_meta_from_pre_rename_crash_is_reaped(tmp_path,
             registry.put_bytes(grammar_data)
     assert len(registry) == 0  # nothing half-visible
     assert registry.verify()["orphan_meta"]
-    registry.gc()
+    registry.verify(repair=True)
     assert registry.verify()["clean"]
 
 
@@ -242,7 +242,6 @@ def test_cli_verify_exit_codes(tmp_path, grammar_data, capsys):
     assert main(["registry", "-d", str(tmp_path), "verify",
                  "--repair"]) == 0
     capsys.readouterr()
-    assert main(["registry", "-d", str(tmp_path), "gc"]) == 0
     assert main(["registry", "-d", str(tmp_path), "verify"]) == 0
     assert GrammarRegistry(tmp_path).verify()["clean"]
 
@@ -262,7 +261,9 @@ def test_startup_scan_full_heal(tmp_path, grammar_data):
 
     report = GrammarRegistry(tmp_path).startup_scan()
     assert report["quarantined"] == [bad_digest]
-    assert report["gc"]["dangling_tags"] == 0  # verify already took it
+    assert report["dangling_tags"] == [{"tag": "gone", "target": "f" * 64}]
+    assert report["orphan_meta"] == ["e" * 64]
+    assert report["tmp_files"] == ["x.rgr.tmp.123"]
     healed = GrammarRegistry(tmp_path)
     assert healed.verify()["clean"]
     assert healed.get_bytes("good") == grammar_data

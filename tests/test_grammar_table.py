@@ -3,10 +3,12 @@
 A :class:`~repro.storage.GrammarTable` hands every clean load of a
 container whose grammar it has seen the same :class:`Grammar` instance,
 so the grammar's ``GrammarProgram`` (and every engine table hung off
-it) is built once per table.  These tests pin the table's contract:
-per-table lifetime, no mutation of interned grammars, per-blob rule
-models, the LRU bound, and a table-less path that behaves as it always
-did.  The live-service cases are in ``tests/test_service.py``.
+it) is built once per table.  Every container load goes through one: a
+caller without a table gets a fresh private one.  These tests pin the
+table's contract: per-table lifetime, no mutation of interned grammars,
+per-blob rule models that ride on the loaded module, the LRU bound, and
+the one grammar encoding a container or grammar file may embed.  The
+live-service cases are in ``tests/test_service.py``.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from repro.grammar.serialize import (
 from repro.minic import compile_source
 from repro.storage import (
     GrammarTable,
+    StorageError,
     load_any,
     load_compressed,
     load_grammar,
@@ -57,7 +60,45 @@ def art():
         "modules": modules,
         "rcx1": save_compressed(cmod),
         "rcx2": save_compressed(cmod, format="rcx2"),
+        "rgr1": save_grammar(grammar),
     }
+
+
+@pytest.fixture(scope="module")
+def two_models(art):
+    """Two RCX2 containers that share one grammar blob but embed
+    different models."""
+    twin = load_grammar(save_grammar(art["grammar"]))
+    counts = getattr(twin, COUNTS_ATTR)
+    setattr(twin, COUNTS_ATTR, {
+        "rules": [[c + i for i, c in enumerate(row)]
+                  for row in counts["rules"]],
+        "eos": counts["eos"] + 5,
+    })
+    first, second = art["modules"]
+    rcx_a = save_compressed(compress_module(art["grammar"], first),
+                            format="rcx2")
+    rcx_b = save_compressed(compress_module(twin, second), format="rcx2")
+    # the other counts really change how the stream is coded
+    assert rcx_b != save_compressed(
+        compress_module(art["grammar"], second), format="rcx2")
+    return rcx_a, rcx_b
+
+
+def respell_plain(data: bytes, grammar) -> bytes:
+    """``data`` (an RCX1, RCX2 or RGR1 file embedding ``grammar``) with
+    its grammar blob respelled in the plain (EG1P) encoding, any
+    embedded model rebound to the new blob's digest and the trailer
+    resealed: well formed in every other respect."""
+    compact = encode_grammar_compact(grammar)
+    plain = encode_grammar_plain(grammar)
+    at = data.index(compact)
+    out = (data[:at - 4] + struct.pack("<I", len(plain)) + plain
+           + data[at + len(compact):])
+    out = out.replace(hashlib.sha256(compact).digest(),
+                      hashlib.sha256(plain).digest())
+    assert plain in out and compact not in out
+    return _reseal(out)
 
 
 def _content_key(container: bytes) -> str:
@@ -95,46 +136,43 @@ def test_interned_grammar_is_not_mutated(art):
         save_module(art["modules"][0])
 
 
-def test_compact_key_ignores_how_the_container_spells_its_grammar(art):
-    """The loaders also accept the plain grammar encoding, so the digest
-    of a container's grammar blob is not always the grammar's compact
-    key; the key (the service's breaker key) must not depend on it."""
-    cmod = load_compressed(art["rcx1"])
-    compact = encode_grammar_compact(cmod.grammar)
-    plain = encode_grammar_plain(cmod.grammar)
-    rcx1 = art["rcx1"]
-    at = rcx1.index(compact)
-    spelled_plain = _reseal(rcx1[:at - 4] + struct.pack("<I", len(plain))
-                            + plain + rcx1[at + len(compact):])
-    loaded = load_compressed(spelled_plain, GrammarTable())
-    assert program_for(loaded.grammar).compact_key == \
-        hashlib.sha256(compact).hexdigest()
+@pytest.mark.parametrize("kind", ["rcx1", "rcx2", "rgr1"])
+def test_embedded_grammar_must_be_the_compact_encoding(art, kind):
+    """Every writer embeds the compact (EG1C) grammar encoding, so a
+    file whose grammar blob is respelled in the plain (EG1P) one is
+    rejected, and a blob's digest is always its grammar's compact key.
+    A rejected container leaves the table unchanged."""
+    respelled = respell_plain(art[kind], art["grammar"])
+    table = GrammarTable()
+    with pytest.raises(StorageError, match="EG1C"):
+        if kind == "rgr1":
+            load_grammar(respelled)
+        else:
+            load_compressed(respelled, table)
+    assert table.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
 
-def test_models_stay_with_their_own_container(art):
+def test_models_stay_with_their_own_container(art, two_models):
     """Two RCX2 containers share a grammar blob but embed different
     models; through one table each decodes with its own model."""
-    twin = load_grammar(save_grammar(art["grammar"]))
-    counts = getattr(twin, COUNTS_ATTR)
-    setattr(twin, COUNTS_ATTR, {
-        "rules": [[c + i for i, c in enumerate(row)]
-                  for row in counts["rules"]],
-        "eos": counts["eos"] + 5,
-    })
-    first, second = art["modules"]
-    rcx_a = save_compressed(compress_module(art["grammar"], first),
-                            format="rcx2")
-    rcx_b = save_compressed(compress_module(twin, second), format="rcx2")
-    # the other counts really change how the stream is coded
-    assert rcx_b != save_compressed(
-        compress_module(art["grammar"], second), format="rcx2")
-
     table = GrammarTable()
     for _ in range(2):
-        for data, module in ((rcx_a, first), (rcx_b, second)):
+        for data, module in zip(two_models, art["modules"]):
             cmod = load_compressed(data, table)
             assert save_module(decompress_module(cmod)) == \
                 save_module(module)
+    assert table.stats() == {"entries": 1, "hits": 3, "misses": 1}
+
+
+def test_rcx2_loaded_through_a_shared_table_resaves_byte_identically(
+        two_models):
+    """Each load's model rides on its module, not on the shared
+    grammar, so both containers re-save as RCX2 byte-identically
+    through one table, in either order."""
+    table = GrammarTable()
+    for data in two_models + two_models[::-1]:
+        cmod = load_compressed(data, table)
+        assert save_compressed(cmod, format="rcx2") == data
     assert table.stats() == {"entries": 1, "hits": 3, "misses": 1}
 
 

@@ -1,7 +1,8 @@
 """The precompiled GrammarProgram core: correctness of every table it
-precomputes, cache identity/staleness semantics, the once-per-hash
-construction guarantee, the storage numbering regression, and the
-structured EarleyError (ISSUE 5 satellites)."""
+precomputes, cache identity/staleness semantics, the storage numbering
+regression, and the structured EarleyError.  (One construction per
+grammar per owner is tested with its owners, in ``test_grammar_table``
+and ``test_service``.)"""
 
 import re
 
@@ -9,7 +10,6 @@ import pytest
 
 from repro.compress.tiling import Tiler
 from repro.core.program import (
-    GrammarProgram,
     match_fragment,
     non_byte_rows,
     original_ordinals,
@@ -21,7 +21,6 @@ from repro.grammar.initial import initial_grammar
 from repro.minic import compile_source
 from repro.parsing.earley import EarleyError, shortest_derivation_tree
 from repro.pipeline import train_grammar
-from repro.registry import GrammarRegistry
 from repro.storage import load_grammar, save_grammar
 
 
@@ -162,7 +161,7 @@ def test_fragment_matchers_equal_recursive_match(trained_grammar):
     assert checked > 100
 
 
-# -- cache identity, staleness, once-per-hash ---------------------------------
+# -- cache identity and staleness --------------------------------------------
 
 def test_program_for_is_identity_cached(trained_grammar):
     assert program_for(trained_grammar) is program_for(trained_grammar)
@@ -178,23 +177,6 @@ def test_program_for_rebuilds_after_mutation():
     after = program_for(g)
     assert after is not before
     assert after.fingerprint != before.fingerprint
-
-
-def test_construction_happens_once_per_hash(trained_grammar, tmp_path):
-    """Through the registry, one GrammarProgram construction per grammar
-    hash per process: put + repeated get/program calls share one build."""
-    registry = GrammarRegistry(tmp_path / "reg")
-    digest = registry.put(trained_grammar)
-    key = program_for(trained_grammar).content_key
-    baseline = GrammarProgram.constructions[key]
-    programs = {registry.program(digest) for _ in range(5)}
-    grammars = {id(registry.get(digest)) for _ in range(5)}
-    assert len(programs) == 1
-    assert len(grammars) == 1
-    assert next(iter(programs)).grammar is trained_grammar
-    assert GrammarProgram.constructions[key] == baseline
-    info = registry.cache_info()
-    assert info["hits"] >= 10
 
 
 def test_derived_memo_builds_once(trained_grammar):

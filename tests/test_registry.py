@@ -36,7 +36,17 @@ def trained():
 
 @pytest.fixture()
 def registry(tmp_path):
-    return GrammarRegistry(tmp_path / "reg", cache_size=2)
+    return GrammarRegistry(tmp_path / "reg")
+
+
+def test_registry_keeps_no_decoded_grammars(registry, trained):
+    """Decoded grammars live with their owners (see
+    test_service.py::test_compress_builds_each_grammar_once_per_service):
+    the registry parses on every read and has no cache to size."""
+    digest = registry.put(trained[2])
+    assert registry.get(digest) is not registry.get(digest)
+    with pytest.raises(TypeError):
+        GrammarRegistry(registry.root, cache_size=2)
 
 
 def test_put_is_content_addressed(registry, trained):
@@ -113,30 +123,24 @@ def test_tag_repoint(registry, trained):
     assert registry.tags() == {"prod": digest}
 
 
-def test_get_serves_from_lru(registry, trained):
+def test_get_parses_a_grammar_that_compresses_identically(registry,
+                                                         trained):
     app, _, grammar, _ = trained
     digest = registry.put(grammar)
-    first = registry.get(digest)
-    assert registry.get(digest) is first
-    info = registry.cache_info()
-    assert info["hits"] >= 1 and info["entries"] == 1
-    # and a loaded grammar still compresses identically
+    loaded = registry.get(digest)
+    assert save_grammar(loaded) == save_grammar(grammar)
     a = repro.Compressor(grammar).compress_module(app)
-    b = repro.Compressor(first).compress_module(app)
+    b = repro.Compressor(loaded).compress_module(app)
     assert [p.code for p in a.procedures] == [p.code for p in b.procedures]
+    assert registry.program(digest).grammar.nt_names == grammar.nt_names
 
 
-def test_lru_eviction_reloads(tmp_path, trained):
+def test_second_handle_sees_the_same_objects(tmp_path, trained):
     _, _, grammar, _ = trained
-    registry = GrammarRegistry(tmp_path / "reg", cache_size=1)
-    digest = registry.put(grammar)
-    first = registry.get(digest)
-    # a second registry handle over the same root sees the same objects
-    other = GrammarRegistry(tmp_path / "reg", cache_size=1)
+    digest = GrammarRegistry(tmp_path / "reg").put(grammar)
+    other = GrammarRegistry(tmp_path / "reg")
     assert other.resolve(digest[:8]) == digest
-    reloaded = other.get(digest)
-    assert reloaded is not first
-    assert reloaded.nt_names == grammar.nt_names
+    assert other.get(digest).nt_names == grammar.nt_names
 
 
 def test_put_bytes_rejects_junk(registry):
@@ -159,4 +163,6 @@ def test_concurrent_get_same_object(registry, trained):
         t.start()
     for t in threads:
         t.join()
-    assert len(set(map(id, seen))) == 1  # one deserialization served all
+    assert len(seen) == 8 * 20
+    stored = save_grammar(grammar)
+    assert all(save_grammar(g) == stored for g in seen)

@@ -31,6 +31,7 @@ from repro.storage import (
     save_module,
 )
 
+from tests.test_grammar_table import respell_plain
 from tests.test_rcx2_malformed import _reseal
 
 APP = """
@@ -482,6 +483,38 @@ def test_rcx2_model_missing_is_structured_and_retryable(harness,
                                format="rcx2")[:4] == b"RCX2"
 
 
+# -- owners: one program per registered grammar per service ------------------
+
+def test_compress_builds_each_grammar_once_per_service(tmp_path, artifacts):
+    """The service owns the grammars it compresses with: a grammar.put
+    and then six compress requests build the grammar's program once (the
+    per-grammar compressor keeps it), and a second service over the same
+    registry builds it once more."""
+    key = program_for(artifacts["grammar"]).content_key
+    before = GrammarProgram.constructions[key]
+    h = _Harness(tmp_path)
+    try:
+        with h.client() as client:
+            digest = client.put_grammar(artifacts["grammar_bytes"],
+                                        tags=["prod"])
+            for format in ("rcx1", "rcx2") * 3:
+                data = client.compress(artifacts["app_bytes"], "prod",
+                                       format=format)
+                assert data[:4] == format.upper().encode()
+    finally:
+        h.close()
+    assert GrammarProgram.constructions[key] == before + 1
+
+    h = _Harness(tmp_path)
+    try:
+        with h.client() as client:
+            assert client.compress(artifacts["app_bytes"],
+                                   digest)[:4] == b"RCX1"
+    finally:
+        h.close()
+    assert GrammarProgram.constructions[key] == before + 2
+
+
 # -- the grammar table: one decode per container grammar per service ---------
 
 def _containers(artifacts):
@@ -565,3 +598,21 @@ def test_rejected_containers_leave_grammar_table_unchanged(harness,
             run_program(cmod, Interpreter2(cmod))
         assert client.stats()["grammar_table"] == \
             {"entries": 1, "hits": 1, "misses": 1}
+
+
+def test_plain_spelled_grammar_is_a_bad_request(harness, artifacts):
+    """A container whose grammar blob is respelled in the plain (EG1P)
+    encoding, though otherwise well formed, is a bad request on both
+    container paths and leaves the grammar table unchanged."""
+    _, rcx1, rcx2 = _containers(artifacts)
+    with harness.client() as client:
+        assert client.decompress(rcx1) == artifacts["app_bytes"]
+        table = client.stats()["grammar_table"]
+        for data in (rcx1, rcx2):
+            respelled = respell_plain(data, artifacts["grammar"])
+            for call in (client.run_compressed, client.decompress):
+                with pytest.raises(ServiceError) as err:
+                    call(respelled)
+                assert err.value.code == protocol.E_BAD_REQUEST
+                assert "EG1C" in str(err.value)
+        assert client.stats()["grammar_table"] == table
