@@ -257,7 +257,7 @@ def _cmd_grammar(args) -> int:
     except RegistryError as exc:
         raise CliError(str(exc)) from None
     stats = program.stats()
-    print(f"grammar {program.content_key[:12]}: "
+    print(f"grammar {program.compact_key[:12]}: "
           f"{stats['rules']} rules, {stats['nonterminals']} nonterminals "
           f"({stats['original_rules']} original), "
           f"{stats['terminals']} terminals")
@@ -303,7 +303,7 @@ def _cmd_coding(args) -> int:
         raise CliError(f"{args.ref}: {exc}") from None
     stats = model.stats(program)
     print(f"model {stats['model_key'][:12]} for grammar "
-          f"{program.content_key[:12]}: "
+          f"{program.compact_key[:12]}: "
           f"{stats['procedures_trained']} procedures, "
           f"{stats['trained_steps']} derivation steps trained")
     rcx1 = stats["rcx1_bytes"]

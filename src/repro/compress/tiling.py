@@ -33,9 +33,9 @@ instruction set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.program import GrammarProgram, match_fragment, program_for
+from ..core.program import match_fragment, program_for
 from ..grammar.cfg import Grammar, Rule
 from ..parsing.forest import Node, preorder
 
@@ -49,11 +49,9 @@ class Tiler:
     block of every program to compress.
     """
 
-    def __init__(self, grammar: Grammar,
-                 program: Optional[GrammarProgram] = None) -> None:
+    def __init__(self, grammar: Grammar) -> None:
         self.grammar = grammar
-        self.program = program if program is not None \
-            else program_for(grammar)
+        self.program = program_for(grammar)
         # Candidate (rule, size, trivial, matcher) entries indexed by the
         # original rule at their fragment root, grammar iteration order.
         self._by_root = self.program.fragments_by_root

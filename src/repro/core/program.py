@@ -36,17 +36,23 @@ every layer shares one cache keyed by one object.
 Identity
 --------
 
-Programs are cached **per grammar instance**, not per content hash:
-rule *ids* are instance-specific (a trained grammar and its
-serialize/deserialize round-trip number rules differently even though
-their content — and therefore their codewords and compressed output —
-is identical), so sharing a program across instances would silently
-mis-tile.  ``content_key`` is the instance-independent SHA-256 of the
-grammar's full structure (names, rules, provenance over canonical
-ordinals).  A decoded grammar lives with its owner, which keeps one
-instance per grammar and so gets one construction per grammar: the
-service keeps each registered grammar in that grammar's compressor, and
-container loads go through the owner's
+Each grammar instance owns its program: :func:`program_for` stores it
+on the grammar, so it lives exactly as long as the grammar does, and a
+process builds one program per grammar however many grammars it keeps.
+The two refer to each other, so a grammar nobody holds is freed by the
+cycle collector, program and derived tables with it.
+Programs are never shared across instances: rule *ids* are
+instance-specific (a trained grammar and its serialize/deserialize
+round-trip number rules differently even though their content — and
+therefore their codewords and compressed output — is identical), so
+sharing a program across instances would silently mis-tile.
+``compact_key`` is the one instance-independent content key, the
+SHA-256 of the grammar's compact encoding: the service's engine
+breaker, the poison verdicts, the RCX2 model binding and the native
+build cache all use it.  A decoded grammar lives with its owner, which
+keeps one instance per grammar and so gets one construction per
+grammar: the service keeps each registered grammar in that grammar's
+compressor, and container loads go through the owner's
 :class:`repro.storage.GrammarTable`, which hands every load of one
 grammar blob the same decoded instance.  Tests assert this against
 :data:`GrammarProgram.constructions`.
@@ -56,18 +62,19 @@ Mutation
 
 Grammars mutate during training.  :func:`program_for` fingerprints the
 grammar (rule count plus the never-reused next rule id) and rebuilds on
-any rule addition or removal, so a program can never describe a grammar
-that has since changed shape.  Code that mutates rules *in place*
-(``load_grammar`` re-attaching provenance) must not use the cache; it
-uses the pure helpers :func:`original_ordinals` / :func:`non_byte_rows`
-directly.
+any rule addition or removal, replacing the program the grammar holds,
+so a program can never describe a grammar that has since changed shape.
+Code that mutates rules *in place* (``load_grammar`` re-attaching
+provenance) must not call :func:`program_for` until it is done, or the
+grammar would keep a program of its half-built state; it uses the pure
+helpers :func:`original_ordinals` / :func:`non_byte_rows` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..grammar.analysis import (
@@ -75,6 +82,7 @@ from ..grammar.analysis import (
     reachable_nonterminals,
 )
 from ..grammar.cfg import Grammar, Rule, is_nonterminal
+from ..grammar.serialize import encode_grammar_compact
 
 __all__ = [
     "GrammarProgram",
@@ -97,7 +105,7 @@ def original_ordinals(grammar: Grammar):
     impossible: appends go to the end, removals only hit inlined rules).
     Pure function of the grammar's current state: the storage loader
     calls it mid-rebuild, before provenance is re-attached, so it must
-    never go through the program cache.
+    never go through :func:`program_for`.
     """
     to_ordinal: Dict[int, Tuple[int, int]] = {}
     from_ordinal: Dict[Tuple[int, int], int] = {}
@@ -267,13 +275,13 @@ class GrammarProgram:
     """Everything precomputable about one grammar, computed once.
 
     Immutable after construction; see the module docstring for the full
-    inventory.  Build through :func:`program_for` (which memoizes per
-    grammar instance), not directly.
+    inventory.  Build through :func:`program_for` (which stores the
+    program on its grammar), not directly.
     """
 
-    #: constructions per ``content_key`` — the process-wide evidence that
+    #: constructions per ``compact_key`` — the process-wide evidence that
     #: a grammar's program is built once per owner (tested).
-    constructions: "Counter[str]" = Counter()
+    constructions: "Counter[Optional[str]]" = Counter()
 
     def __init__(self, grammar: Grammar) -> None:
         self.grammar = grammar
@@ -327,50 +335,18 @@ class GrammarProgram:
             rid: tuple(entries) for rid, entries in by_root.items()
         }
 
-        self.content_key = self._identity_digest()
+        #: SHA-256 hex of the grammar's compact encoding, the one content
+        #: key (see the module docstring); None for a grammar the compact
+        #: encoding cannot express (toy grammars whose ``<byte>`` is
+        #: missing or not last).
+        try:
+            self.compact_key: Optional[str] = hashlib.sha256(
+                encode_grammar_compact(grammar)).hexdigest()
+        except ValueError:
+            self.compact_key = None
         self._derived: Dict[str, object] = {}
         self._derived_lock = threading.Lock()
-        GrammarProgram.constructions[self.content_key] += 1
-
-    # -- identity -----------------------------------------------------------
-
-    def _identity_digest(self) -> str:
-        """SHA-256 over the grammar's full structure, instance-id free:
-        names, cap, per-row rules (lhs, rhs, origin) and provenance
-        fragments rewritten over canonical original-rule ordinals."""
-        to_ordinal = self.original_to_ordinal
-
-        def frag_key(frag):
-            if frag is None:
-                return None
-            rid, children = frag
-            return (to_ordinal.get(rid, ("?", rid)),
-                    tuple(frag_key(c) for c in children))
-
-        h = hashlib.sha256()
-        g = self.grammar
-        h.update(repr((tuple(g.nt_names), g.max_rules_per_nt,
-                       g.start)).encode())
-        for nt in g.nonterminals:
-            for rule in self.rules_of[nt]:
-                h.update(repr((rule.lhs, rule.rhs, rule.origin,
-                               frag_key(rule.fragment))).encode())
-        return h.hexdigest()
-
-    @property
-    def compact_key(self) -> str:
-        """SHA-256 hex digest of the grammar's compact encoding — the
-        per-grammar key the service's engine breaker uses (same hash
-        basis as before the program existed, so stats keys are stable).
-        Requires a full grammar (with ``<byte>``); lazy because toy
-        grammars have no compact encoding."""
-        key = getattr(self, "_compact_key", None)
-        if key is None:
-            from ..grammar.serialize import encode_grammar_compact
-            key = hashlib.sha256(
-                encode_grammar_compact(self.grammar)).hexdigest()
-            self._compact_key = key
-        return key
+        GrammarProgram.constructions[self.compact_key] += 1
 
     # -- derived artifacts --------------------------------------------------
 
@@ -428,39 +404,29 @@ class GrammarProgram:
             },
             "reachable_nonterminals": len(self.reachable),
             "productive_nonterminals": len(self.productive),
-            "content_key": self.content_key,
+            "compact_key": self.compact_key,
         }
 
 
-# -- the per-instance cache --------------------------------------------------
+# -- the grammar's own program -----------------------------------------------
 
-_CACHE_SIZE = 16
-_cache: "OrderedDict[int, GrammarProgram]" = OrderedDict()
-_cache_lock = threading.Lock()
+_build_lock = threading.Lock()
 
 
 def program_for(grammar: Grammar) -> GrammarProgram:
-    """The :class:`GrammarProgram` of a grammar instance, memoized.
-
-    Keyed by object identity with an ``is`` check (ids are reused after
-    garbage collection) and the rule-set fingerprint (training mutates
-    grammars in place); bounded LRU so training runs that churn through
-    grammar generations cannot grow the cache without limit.
-    """
-    key = id(grammar)
+    """The :class:`GrammarProgram` of a grammar instance, kept on the
+    grammar and rebuilt when its rule-set fingerprint changes (training
+    mutates grammars in place)."""
     fingerprint = (grammar.total_rules(), grammar._next_rule_id)
-    with _cache_lock:
-        program = _cache.get(key)
-        if program is not None and program.grammar is grammar \
-                and program.fingerprint == fingerprint:
-            _cache.move_to_end(key)
-            return program
-        # Built under the lock: construction is cheap relative to any
-        # consumer, and a concurrent double build would double-count
-        # the per-hash construction counter.
-        program = GrammarProgram(grammar)
-        _cache[key] = program
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_SIZE:
-            _cache.popitem(last=False)
+    program = grammar._program
+    if program is not None and program.fingerprint == fingerprint:
+        return program
+    # Built under the lock: construction is cheap relative to any
+    # consumer, and a concurrent double build would double-count the
+    # per-key construction counter.
+    with _build_lock:
+        program = grammar._program
+        if program is None or program.fingerprint != fingerprint:
+            program = GrammarProgram(grammar)
+            grammar._program = program
         return program

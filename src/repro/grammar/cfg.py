@@ -128,6 +128,9 @@ class Grammar:
         self.by_lhs: Dict[int, List[int]] = {}
         self.start: Optional[int] = None
         self._next_rule_id = 0
+        #: the precompiled program (``repro.core.program_for``); opaque
+        #: here, so this layer imports nothing from the core
+        self._program = None
 
     # -- nonterminals -----------------------------------------------------
     def add_nonterminal(self, name: str) -> int:

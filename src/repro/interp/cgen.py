@@ -333,7 +333,7 @@ void interpret2(unsigned char op, istate *istate_,
 
 #: bump on ANY change to the emitted C or the ABI structs — the build
 #: cache keys shared objects on (abi, cgen version, compiler, grammar).
-NATIVE_CGEN_VERSION = 2
+NATIVE_CGEN_VERSION = 3
 
 #: reported by rxn_abi(); the loader refuses mismatched objects.
 NATIVE_ABI_VERSION = 2
@@ -1070,7 +1070,7 @@ def emit_native(grammar: Grammar) -> str:
         f"#define RXN_NT_START_ {start_index}u",
         "#define RXN_ESCAPE_   255u",
         f"#define RXN_ABI_VERSION_ {NATIVE_ABI_VERSION}",
-        f'#define RXN_GRAMMAR_KEY_ "{program.content_key}"',
+        f'#define RXN_GRAMMAR_KEY_ "{program.compact_key}"',
     ])
     return "\n".join([
         defines,

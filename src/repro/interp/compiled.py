@@ -43,11 +43,11 @@ label is the start of a fresh ``<start>`` derivation, Section 4.1) and a
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from .. import faults
 from .state import BudgetExceeded, IState, Jump, Return, Trap
-from .tables import CompiledTables, TableError, compiled_tables
+from .tables import TableError, compiled_tables
 
 __all__ = ["CompiledEngine"]
 
@@ -70,11 +70,9 @@ class CompiledEngine:
     into :class:`repro.interp.runtime.Machine`, same duck type as the
     reference :class:`~repro.interp.interp2.Interpreter2`)."""
 
-    def __init__(self, cmodule,
-                 tables: Optional[CompiledTables] = None) -> None:
+    def __init__(self, cmodule) -> None:
         self.module = cmodule
-        self.tables = tables if tables is not None \
-            else compiled_tables(cmodule.grammar)
+        self.tables = compiled_tables(cmodule.grammar)
 
     def run_procedure(self, machine, index: int, istate: IState) -> Any:
         # Fault site at activation granularity, not per step: the hot

@@ -12,7 +12,7 @@ a threaded-code interpreter, without changing observable behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..bytecode.instructions import iter_decode
 from .base import HANDLERS
@@ -35,7 +35,11 @@ class Interpreter1:
         self._decoded = [self._predecode(p.code) for p in module.procedures]
 
     @staticmethod
-    def _predecode(code: bytes) -> Dict[int, Tuple]:
+    def _predecode(code: bytes,
+                   handlers: Mapping[int, Callable] = HANDLERS
+                   ) -> Dict[int, Tuple]:
+        """pc -> (handler, operands, next pc), handlers taken from
+        ``handlers`` by opcode (the profiler passes traced ones)."""
         table: Dict[int, Tuple] = {}
         decoded = list(iter_decode(code))
         for off, ins in reversed(decoded):
@@ -48,7 +52,7 @@ class Interpreter1:
                 table[off] = table.get(nxt, (_noop, (), nxt))
             else:
                 table[off] = (
-                    HANDLERS[ins.op.code], ins.operands, off + ins.size
+                    handlers[ins.op.code], ins.operands, off + ins.size
                 )
         return table
 

@@ -124,11 +124,10 @@ class NativeEngine:
     ``NativeUnavailableError`` subclass) when the engine cannot be built.
     """
 
-    def __init__(self, cmodule, cache: Optional[NativeBuildCache] = None,
-                 *, heap_size: int = 1 << 20) -> None:
+    def __init__(self, cmodule,
+                 cache: Optional[NativeBuildCache] = None) -> None:
         self.module = cmodule
         self.grammar = cmodule.grammar
-        self._heap_size = heap_size
         self._budget = 0
         self._engine = (cache or default_cache()).load(self.grammar)
         lib = self._engine.lib
@@ -174,8 +173,7 @@ class NativeEngine:
         if self.module.entry is None:
             raise Trap("program has no entry procedure")
         self._budget = int(budget or 0)
-        layout = MemoryLayout.for_program(self.module,
-                                          heap_size=self._heap_size)
+        layout = MemoryLayout.for_program(self.module)
         args = (ctypes.c_uint32 * max(len(int_args), 1))(
             *[a & 0xFFFFFFFF for a in int_args])
         inp = _ubytes(input_data)

@@ -4,7 +4,8 @@
 per trained grammar; this module turns it into a loadable shared object.
 The cache is content-addressed: the key folds together the ABI version,
 the code-generator version, the compiler's identity and the grammar's
-``content_key``, so a change to any of them compiles into a *new* slot
+``compact_key`` (the emitted C is generated from the grammar's compact
+encoding), so a change to any of them compiles into a *new* slot
 and stale objects can never be picked up (they are simply never looked
 at again).  Builds are atomic — compile to a temp name in the cache
 directory, ``os.replace`` into place — so concurrent processes racing on
@@ -156,18 +157,15 @@ class NativeBuildCache:
     compiles zero times").
     """
 
-    def __init__(self, root: Optional[Path] = None,
-                 compiler: Optional[str] = "auto") -> None:
+    def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else _default_cache_root()
-        self._compiler_override = compiler
         self.compilations = 0
         self.cache_hits = 0
         self._loaded: Dict[str, _LoadedEngine] = {}
 
     # -- key / paths -------------------------------------------------------
     def compiler(self) -> str:
-        cc = (find_compiler() if self._compiler_override == "auto"
-              else self._compiler_override)
+        cc = find_compiler()
         if not cc:
             raise NativeUnavailableError(
                 "no C compiler found (tried cc, gcc, clang; "
@@ -175,13 +173,17 @@ class NativeBuildCache:
         return cc
 
     def key_for(self, grammar) -> str:
-        cc = self.compiler()
+        grammar_key = program_for(grammar).compact_key
+        if grammar_key is None:
+            raise NativeBuildError(
+                "the native engine needs a grammar the compact encoding "
+                "can express")
         ident = ":".join([
             str(NATIVE_ABI_VERSION),
             str(NATIVE_CGEN_VERSION),
-            _compiler_id(cc),
+            _compiler_id(self.compiler()),
             " ".join(_extra_cflags()),
-            program_for(grammar).content_key,
+            grammar_key,
         ])
         return hashlib.sha256(ident.encode()).hexdigest()[:40]
 
@@ -266,11 +268,11 @@ class NativeBuildCache:
         if engine is not None:
             self.cache_hits += 1
             return engine
-        content_key = program_for(grammar).content_key
+        grammar_key = program_for(grammar).compact_key
         target = self.root / f"{cache_key}.so"
         if target.exists():
             try:
-                engine = self._try_load(target, content_key)
+                engine = self._try_load(target, grammar_key)
                 self.cache_hits += 1
                 self._loaded[cache_key] = engine
                 return engine
@@ -281,7 +283,7 @@ class NativeBuildCache:
                 except OSError:
                     pass
         self._compile(grammar, target, source_text=source_text)
-        engine = self._try_load(target, content_key)
+        engine = self._try_load(target, grammar_key)
         self._loaded[cache_key] = engine
         return engine
 

@@ -90,7 +90,6 @@ class ProfilingExecutor:
     # The hooks shadow the executor's tables on a shallow copy, so the
     # original executor instances stay reusable and unprofiled.
     def _install_interp1_hooks(self, inner: Interpreter1) -> None:
-        from ..bytecode.instructions import iter_decode
         from .base import HANDLERS
 
         profile = self.profile
@@ -108,24 +107,12 @@ class ProfilingExecutor:
                     raise
             return traced
 
-        decoded = []
-        for proc in inner.module.procedures:
-            table = {}
-            for off, ins in reversed(list(iter_decode(proc.code))):
-                nxt = off + ins.size
-                if ins.op.name == "LABELV":
-                    table[off] = table.get(
-                        nxt, (lambda s, m, o: None, (), nxt)
-                    )
-                else:
-                    table[off] = (
-                        make_traced(ins.op.code, HANDLERS[ins.op.code]),
-                        ins.operands, nxt,
-                    )
-            decoded.append(table)
+        traced = {code: make_traced(code, handler)
+                  for code, handler in HANDLERS.items()}
         clone = Interpreter1.__new__(Interpreter1)
         clone.module = inner.module
-        clone._decoded = decoded
+        clone._decoded = [Interpreter1._predecode(proc.code, traced)
+                          for proc in inner.module.procedures]
         self._run = clone.run_procedure
 
     def _install_compiled_hooks(self, inner: CompiledEngine) -> None:

@@ -121,7 +121,10 @@ class SandboxRemoteError(SandboxError):
 
 
 class NativeCrashError(SandboxError):
-    """The helper died on a signal while running this request."""
+    """The helper died on a signal while running this request.
+
+    ``content_key`` is the grammar's ``compact_key`` (the name is kept
+    because poison records store it under that field)."""
 
     def __init__(self, signum: int, content_key: str = "",
                  req_digest: str = "") -> None:
@@ -140,7 +143,10 @@ class NativeCrashError(SandboxError):
 
 
 class NativeHangError(SandboxError):
-    """The helper blew the supervisor's wall-clock watchdog."""
+    """The helper blew the supervisor's wall-clock watchdog.
+
+    ``content_key`` is the grammar's ``compact_key``, as for
+    :class:`NativeCrashError`."""
 
     def __init__(self, timeout: float, content_key: str = "",
                  req_digest: str = "") -> None:
@@ -294,7 +300,8 @@ class NativeSandbox:
         in-process engine would (``memory`` is ``b""`` unless
         ``want_memory``), re-raises the engine's own exceptions, and
         converts helper death into :class:`NativeCrashError` /
-        :class:`NativeHangError`.
+        :class:`NativeHangError`, which carry ``content_key`` (the
+        caller's name for the grammar's ``compact_key``).
         """
         digest = request_digest(container, int_args, input_data)
         request = {

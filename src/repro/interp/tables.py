@@ -510,8 +510,8 @@ def compiled_tables(grammar: Grammar) -> CompiledTables:
     The flattening hangs off the grammar's precompiled
     :class:`~repro.core.program.GrammarProgram` (one per grammar
     instance), so the engine, the decompressor, and the profiler all
-    share it — and everything else keyed to the same program (interp
-    tables, registry entries) shares one cache lifetime.
+    share it — and everything else hung off the same program (interp
+    tables, parser plans, rule models) lives as long as the grammar.
 
     Fault site ``engine.tables`` fires here as a :class:`TableError`,
     modelling a grammar whose flattening fails.  It only fires on a

@@ -219,7 +219,7 @@ class _Plans:
 
 def _plans_for(grammar: Grammar) -> _Plans:
     """The grammar's plan tables, memoized on its precompiled program
-    (so they live exactly as long as the program cache keeps it)."""
+    (so they live exactly as long as the grammar keeps it)."""
     return program_for(grammar).derived(
         "parsing.plans", lambda: _Plans(grammar))
 

@@ -103,7 +103,7 @@ def corpus_fingerprint(corpus: Iterable[Module]) -> str:
 def poison_key(content_key: str, request_digest: str) -> str:
     """The quarantine key for one (grammar, request) pair.
 
-    Both inputs are hex digests: the grammar's content key and the
+    Both inputs are hex digests: the grammar's ``compact_key`` and the
     SHA-256 over the request's payload, arguments, and input.  The key
     is stable across workers and restarts, so a request that crashed
     the native engine once is recognized forever after.
@@ -528,8 +528,9 @@ class GrammarRegistry:
         """Record (idempotently) that a request is poisonous.
 
         ``verdict`` names what happened (``"crash"``, ``"hang"``);
-        ``detail`` is the human-readable specifics (signal name,
-        timeout).  Returns the stored record.
+        ``content_key`` is the grammar's ``compact_key`` (stored under
+        that field name); ``detail`` is the human-readable specifics
+        (signal name, timeout).  Returns the stored record.
         """
         existing = self.check_poison(key)
         if existing is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict
+from typing import Dict
 
 __all__ = ["CircuitBreaker"]
 
@@ -35,20 +35,18 @@ class _Entry:
 
 
 class CircuitBreaker:
-    def __init__(self, threshold: int = 3, cooldown: float = 30.0, *,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, threshold: int = 3, cooldown: float = 30.0) -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
         self.cooldown = cooldown
-        self._clock = clock
         self._entries: Dict[str, _Entry] = {}
         self._lock = threading.Lock()
 
     def _state_locked(self, entry: _Entry) -> str:
         if entry.failures < self.threshold:
             return "closed"
-        if self._clock() - entry.opened_at >= self.cooldown:
+        if time.monotonic() - entry.opened_at >= self.cooldown:
             return "half_open"
         return "open"
 
@@ -82,7 +80,7 @@ class CircuitBreaker:
             entry.failures += 1
             entry.probing = False
             if entry.failures >= self.threshold:
-                entry.opened_at = self._clock()
+                entry.opened_at = time.monotonic()
                 return True
             return False
 

@@ -335,7 +335,8 @@ def _save_compressed2(cmod: CompressedModule) -> bytes:
 
 
 #: decoded grammars (and, separately, rule models) one
-#: :class:`GrammarTable` keeps: the bound of ``program_for``'s cache
+#: :class:`GrammarTable` keeps; each grammar carries its program and
+#: engine tables, so the bound also caps what those cost an owner
 GRAMMAR_TABLE_SIZE = 16
 
 #: the grammar encoding every container and RGR1 file embeds (the
@@ -353,10 +354,10 @@ class GrammarTable:
     :func:`load_compressed` or :func:`load_any`; any other caller gets
     a fresh private one per load.  A container whose grammar blob and
     nonterminal names match an earlier clean load gets that load's
-    :class:`Grammar` instance back, and with it the instance-keyed
-    ``program_for`` program and every table derived from it.  The key's
-    digest, the SHA-256 of the grammar blob, is also what an RCX2 model
-    binding must equal.
+    :class:`Grammar` instance back, and with it the program
+    ``program_for`` keeps on that instance and every table derived from
+    it.  The key's digest, the SHA-256 of the grammar blob, is also what
+    an RCX2 model binding must equal.
 
     A hit skips ``decode_grammar`` only (and, for RCX2, building the
     :class:`RuleModel` of a model blob already bound to the grammar);
@@ -626,8 +627,8 @@ def load_grammar(data: bytes) -> Grammar:
     # Re-attach provenance.  decode_grammar marked every rule original;
     # rebuild each rule with its true origin and fragment so the tiling
     # compressor works on loaded grammars.  This mutates rules in place
-    # mid-rebuild, so it uses the pure core helpers directly — never the
-    # program cache (see repro.core.program).
+    # mid-rebuild, so it uses the pure core helpers directly — never
+    # program_for (see repro.core.program).
     _, from_ordinal = original_ordinals(grammar)
     for _nt, rules in non_byte_rows(grammar):
         for rule in rules:

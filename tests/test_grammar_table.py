@@ -104,7 +104,7 @@ def respell_plain(data: bytes, grammar) -> bytes:
 def _content_key(container: bytes) -> str:
     """The ``GrammarProgram.constructions`` key of a container's grammar
     (builds one program, so read it before taking a baseline)."""
-    return program_for(load_compressed(container).grammar).content_key
+    return program_for(load_compressed(container).grammar).compact_key
 
 
 def test_one_program_per_table_and_a_new_table_builds_again(art):

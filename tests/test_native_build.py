@@ -77,7 +77,7 @@ def test_fresh_cache_instance_hits_the_disk(tmp_path, grammar, cmod):
 
 @needs_cc
 def test_grammar_change_invalidates(tmp_path, grammar, other_grammar):
-    """Two grammars never share a slot: the key folds in content_key, so
+    """Two grammars never share a slot: the key folds in compact_key, so
     a retrained grammar compiles fresh instead of reusing stale code."""
     cache = NativeBuildCache(root=tmp_path)
     assert cache.object_path(grammar) != cache.object_path(other_grammar)

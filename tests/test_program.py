@@ -10,6 +10,7 @@ import pytest
 
 from repro.compress.tiling import Tiler
 from repro.core.program import (
+    GrammarProgram,
     match_fragment,
     non_byte_rows,
     original_ordinals,
@@ -18,6 +19,7 @@ from repro.core.program import (
 from repro.corpus.synth import generate_program
 from repro.grammar.cfg import Grammar
 from repro.grammar.initial import initial_grammar
+from repro.interp.nativebuild import NativeBuildCache, NativeBuildError
 from repro.minic import compile_source
 from repro.parsing.earley import EarleyError, shortest_derivation_tree
 from repro.pipeline import train_grammar
@@ -65,7 +67,22 @@ def test_programs_are_instance_specific(trained_grammar):
     p1, p2 = program_for(trained_grammar), program_for(loaded)
     assert p1 is not p2
     # ... but structurally identical content hashes to the same key.
-    assert p1.content_key == p2.content_key
+    assert p1.compact_key == p2.compact_key
+
+
+def test_toy_grammar_has_no_compact_key(tmp_path):
+    """A grammar the compact encoding cannot express (no ``<byte>``)
+    still gets a program, with no content key, and the native build
+    cache refuses it with its own structured error."""
+    g = Grammar()
+    s = g.add_nonterminal("S")
+    g.start = s
+    g.add_rule(s, [1])
+    program = program_for(g)
+    assert program.compact_key is None
+    assert program.stats()["compact_key"] is None
+    with pytest.raises(NativeBuildError, match="compact encoding"):
+        NativeBuildCache(tmp_path).key_for(g)
 
 
 # -- storage numbering regression (satellite: the three ordinal loops) --------
@@ -167,6 +184,18 @@ def test_program_for_is_identity_cached(trained_grammar):
     assert program_for(trained_grammar) is program_for(trained_grammar)
 
 
+def test_every_live_grammar_keeps_its_program():
+    """Each grammar owns its program, so however many grammars are
+    live, a second pass over them rebuilds none."""
+    grammars = [initial_grammar() for _ in range(40)]
+    first = [program_for(g) for g in grammars]
+    key = first[0].compact_key
+    built = GrammarProgram.constructions[key]
+    second = [program_for(g) for g in grammars]
+    assert all(a is b for a, b in zip(first, second))
+    assert GrammarProgram.constructions[key] == built
+
+
 def test_program_for_rebuilds_after_mutation():
     g = initial_grammar()
     before = program_for(g)
@@ -216,7 +245,7 @@ def test_stats_shape(trained_grammar):
     assert set(stats["rules_per_nt"]) == set(trained_grammar.nt_names)
     assert stats["reachable_nonterminals"] > 0
     assert stats["min_expansion_cost"]["start"] is not None
-    assert re.fullmatch(r"[0-9a-f]{64}", stats["content_key"])
+    assert re.fullmatch(r"[0-9a-f]{64}", stats["compact_key"])
 
 
 # -- structured EarleyError (satellite) ---------------------------------------

@@ -490,7 +490,7 @@ def test_compress_builds_each_grammar_once_per_service(tmp_path, artifacts):
     and then six compress requests build the grammar's program once (the
     per-grammar compressor keeps it), and a second service over the same
     registry builds it once more."""
-    key = program_for(artifacts["grammar"]).content_key
+    key = program_for(artifacts["grammar"]).compact_key
     before = GrammarProgram.constructions[key]
     h = _Harness(tmp_path)
     try:
@@ -532,7 +532,7 @@ def test_grammar_table_builds_each_grammar_once_per_service(tmp_path,
     cold and builds it again."""
     cmod, rcx1, rcx2 = _containers(artifacts)
     expected_run = run_program(cmod, Interpreter2(cmod))
-    key = program_for(load_compressed(rcx1).grammar).content_key
+    key = program_for(load_compressed(rcx1).grammar).compact_key
     before = GrammarProgram.constructions[key]
     h = _Harness(tmp_path / "one")
     try:

@@ -204,8 +204,8 @@ def test_height_grammar_end_to_end_compression():
 
 def test_plan_tables_do_not_keep_grammars_alive():
     """The parser's per-grammar plan tables live on the grammar's
-    program, so forests built over many short-lived grammars keep at
-    most the program cache's 16 grammars reachable, not every one."""
+    program, which lives on the grammar, so forests built over many
+    short-lived grammars keep none of them reachable."""
     import gc
     import weakref
 
@@ -218,4 +218,4 @@ def test_plan_tables_do_not_keep_grammars_alive():
     del g
     gc.collect()
     alive = sum(1 for ref in refs if ref() is not None)
-    assert alive <= 16, f"{alive} of 40 grammars still reachable"
+    assert alive == 0, f"{alive} of 40 grammars still reachable"
